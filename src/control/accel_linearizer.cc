@@ -5,6 +5,7 @@
 
 #include "control/accel_linearizer.h"
 
+#include <cassert>
 #include <stdexcept>
 
 #include "dynamics/crba.h"
@@ -21,9 +22,46 @@ AcceleratorLinearizer::AcceleratorLinearizer(
     if (design.kernel() != sched::KernelKind::kDynamicsGradient)
         throw std::logic_error(
             "AcceleratorLinearizer needs a dynamics-gradient design");
-    const std::size_t n = design.model().num_links();
-    q_.resize(n);
-    qd_.resize(n);
+    reserve_knots(1);
+}
+
+void
+AcceleratorLinearizer::reserve_knots(std::size_t knots)
+{
+    const std::size_t n = design_->model().num_links();
+    while (knots_.size() < knots) {
+        knots_.push_back({linalg::Vector(n), linalg::Vector(n), {}, {}});
+        packets_.emplace_back();
+        results_.emplace_back();
+    }
+}
+
+accel::InputPacket
+AcceleratorLinearizer::front_end(const linalg::Vector &x,
+                                 const linalg::Vector &u, Knot &knot) const
+{
+    const auto &model = design_->model();
+    const std::size_t n = model.num_links();
+    for (std::size_t i = 0; i < n; ++i) {
+        knot.q[i] = x[i];
+        knot.qd[i] = x[n + i];
+    }
+
+    // The linearization point, exactly as
+    // dynamics::forward_dynamics_gradients computes it.
+    knot.mass_inv = dynamics::mass_matrix_inverse(
+        design_->topology(), dynamics::crba(model, knot.q));
+    const linalg::Vector bias =
+        dynamics::bias_forces(model, knot.q, knot.qd, gravity_);
+    knot.qdd = knot.mass_inv * (u - bias);
+
+    accel::InputPacket packet;
+    packet.q = &knot.q;
+    packet.qd = &knot.qd;
+    packet.qdd = &knot.qdd;
+    packet.minv = &knot.mass_inv;
+    packet.gravity = gravity_;
+    return packet;
 }
 
 void
@@ -31,50 +69,31 @@ AcceleratorLinearizer::linearize(const linalg::Vector &x,
                                  const linalg::Vector &u, double dt,
                                  linalg::Matrix &a, linalg::Matrix &b)
 {
-    const auto &model = design_->model();
-    const auto &topo = design_->topology();
-    const std::size_t n = model.num_links();
-    for (std::size_t i = 0; i < n; ++i) {
-        q_[i] = x[i];
-        qd_[i] = x[n + i];
-    }
-
-    // Host front-end: the linearization point, exactly as
-    // dynamics::forward_dynamics_gradients computes it.
-    const linalg::Matrix mass = dynamics::crba(model, q_);
-    mass_inv_ = dynamics::mass_matrix_inverse(topo, mass);
-    const linalg::Vector bias = dynamics::bias_forces(model, q_, qd_,
-                                                      gravity_);
-    const linalg::Vector qdd = mass_inv_ * (u - bias);
-
-    // Offloaded stage: dtau traversal + blocked -M^-1 multiplies.
-    accel::InputPacket packet;
-    packet.q = &q_;
-    packet.qd = &qd_;
-    packet.qdd = &qdd;
-    packet.minv = &mass_inv_;
-    packet.gravity = gravity_;
-    engine_.run(ws_, packet, result_);
+    Knot &knot = knots_[0];
+    accel::EngineResult &result = results_[0];
+    engine_.run(ws_, front_end(x, u, knot), result);
     ++calls_;
+    discretize_gradients(result.dqdd_dq, result.dqdd_dqd, knot.mass_inv, dt,
+                         a, b);
+}
 
-    // Semi-implicit Euler: qd' = qd + dt qdd; q' = q + dt qd'.
-    a.resize(2 * n, 2 * n);
-    b.resize(2 * n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            const double dq = dt * result_.dqdd_dq(i, j);
-            const double dqd = dt * result_.dqdd_dqd(i, j);
-            // qd' rows.
-            a(n + i, j) = dq;
-            a(n + i, n + j) = (i == j ? 1.0 : 0.0) + dqd;
-            // q' rows = q + dt qd'.
-            a(i, j) = (i == j ? 1.0 : 0.0) + dt * dq;
-            a(i, n + j) = dt * ((i == j ? 1.0 : 0.0) + dqd);
-            const double du = dt * mass_inv_(i, j);
-            b(n + i, j) = du;
-            b(i, j) = dt * du;
-        }
-    }
+void
+AcceleratorLinearizer::linearize_horizon(
+    std::span<const linalg::Vector> states,
+    std::span<const linalg::Vector> controls, double dt,
+    std::span<linalg::Matrix> a, std::span<linalg::Matrix> b)
+{
+    const std::size_t knots = controls.size();
+    assert(states.size() == knots && a.size() == knots && b.size() == knots);
+    reserve_knots(knots);
+    for (std::size_t k = 0; k < knots; ++k)
+        packets_[k] = front_end(states[k], controls[k], knots_[k]);
+    engine_.run_batch(std::span(packets_).first(knots),
+                      std::span(results_).first(knots), batch_ws_);
+    calls_ += knots;
+    for (std::size_t k = 0; k < knots; ++k)
+        discretize_gradients(results_[k].dqdd_dq, results_[k].dqdd_dqd,
+                             knots_[k].mass_inv, dt, a[k], b[k]);
 }
 
 } // namespace control

@@ -60,91 +60,202 @@ step(const topology::RobotModel &model, const Vector &x, const Vector &u,
     return x_next;
 }
 
-/** Discrete linearization x' ~ A x + B u from the analytic gradients. */
-void
-linearize(const topology::RobotModel &model,
-          const topology::TopologyInfo &topo, const Vector &x,
-          const Vector &u, double dt, Matrix &a, Matrix &b)
+/** The host dynamics library's linearization, used when
+ *  IlqrOptions::linearizer is null. */
+class HostLinearizer : public DynamicsLinearizer
 {
-    const std::size_t n = model.num_links();
-    Vector q(n), qd(n);
-    split(x, q, qd);
-    const auto g =
-        dynamics::forward_dynamics_gradients(model, topo, q, qd, u);
+  public:
+    HostLinearizer(const topology::RobotModel &model,
+                   const topology::TopologyInfo &topo)
+        : model_(&model), topo_(&topo)
+    {
+    }
 
-    // Semi-implicit Euler: qd' = qd + dt qdd; q' = q + dt qd'.
+    void
+    linearize(const Vector &x, const Vector &u, double dt, Matrix &a,
+              Matrix &b) override
+    {
+        const std::size_t n = model_->num_links();
+        Vector q(n), qd(n);
+        split(x, q, qd);
+        const auto g =
+            dynamics::forward_dynamics_gradients(*model_, *topo_, q, qd, u);
+        discretize_gradients(g.dqdd_dq, g.dqdd_dqd, g.mass_inv, dt, a, b);
+    }
+
+  private:
+    const topology::RobotModel *model_;
+    const topology::TopologyInfo *topo_;
+};
+
+/** Running cost of one knot.  Its Hessian is diagonal: w_q, w_qd on x
+ *  and w_u on u. */
+double
+running_cost(const IlqrProblem &p, const Vector &x, const Vector &u)
+{
+    const std::size_t n = u.size();
+    double value = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double eq = x[i] - p.q_goal[i];
+        value += 0.5 * p.w_q * eq * eq + 0.5 * p.w_qd * x[n + i] * x[n + i] +
+                 0.5 * p.w_u * u[i] * u[i];
+    }
+    return value;
+}
+
+/** Terminal cost; Hessian diagonal with w_terminal, w_qd. */
+double
+terminal_cost(const IlqrProblem &p, const Vector &x)
+{
+    const std::size_t n = p.q_goal.size();
+    double value = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double eq = x[i] - p.q_goal[i];
+        value += 0.5 * p.w_terminal * eq * eq +
+                 0.5 * p.w_qd * x[n + i] * x[n + i];
+    }
+    return value;
+}
+
+/** Storage of the Riccati backward pass, sized once per solve so that
+ *  its knot loop allocates nothing. */
+struct RiccatiWorkspace
+{
+    explicit RiccatiWorkspace(std::size_t n)
+        : vx(2 * n), qx(2 * n), qu(n), vxx(2 * n, 2 * n),
+          at_vxx(2 * n, 2 * n), bt_vxx(n, 2 * n), qxx(2 * n, 2 * n),
+          quu(n, n), qux(n, 2 * n), gains(n, 2 * n + 1),
+          quu_ldlt(Matrix::identity(n))
+    {
+    }
+
+    Vector vx, qx, qu;
+    Matrix vxx, at_vxx, bt_vxx, qxx, quu, qux;
+    /** [Qu | Qux], solved in place into Quu^-1 [Qu | Qux]. */
+    Matrix gains;
+    /** Refactorized at every knot; built on the identity so that its
+     *  storage is already n x n. */
+    linalg::Ldlt quu_ldlt;
+};
+
+/**
+ * Regularized Riccati backward pass over the linearized horizon: writes
+ * the feedforward @p ff and feedback @p gain of every knot.  False when
+ * Quu is not positive definite at some knot under regularization @p mu.
+ *
+ * A^T Vxx and B^T Vxx (= (Vxx A)^T and (Vxx B)^T, Vxx being symmetric)
+ * are formed once per knot and shared by Qxx = lxx + (A^T Vxx) A,
+ * Quu = luu + (B^T Vxx) B + mu I and Qux = (B^T Vxx) A, so for a given
+ * value function the Q terms and gains are bit-identical to the textbook
+ * products.  [k | K] = -Quu^-1 [Qu | Qux] is one multi-right-hand-side
+ * solve.  The value update Vx = Qx + Qux^T k, Vxx = Qxx + Qux^T K is the
+ * four-term form Qx + K^T Quu k + K^T Qu + Qux^T k (likewise for Vxx)
+ * with the terms that cancel removed, exactly because the gains solve
+ * the same regularized Quu; dropping them also drops their rounding.
+ */
+bool
+backward_pass(const IlqrProblem &p, const std::vector<Vector> &states,
+              const std::vector<Vector> &controls,
+              const std::vector<Matrix> &a, const std::vector<Matrix> &b,
+              double mu, RiccatiWorkspace &ws, std::vector<Vector> &ff,
+              std::vector<Matrix> &gain)
+{
+    const std::size_t n = p.q_goal.size();
+    const std::size_t horizon = controls.size();
+    const Vector &xt = states[horizon];
+    ws.vxx.set_zero();
+    for (std::size_t i = 0; i < n; ++i) {
+        ws.vx[i] = p.w_terminal * (xt[i] - p.q_goal[i]);
+        ws.vx[n + i] = p.w_qd * xt[n + i];
+        ws.vxx(i, i) = p.w_terminal;
+        ws.vxx(n + i, n + i) = p.w_qd;
+    }
+    // lint: warm-path begin
+    for (std::size_t kk = horizon; kk-- > 0;) {
+        const Vector &x = states[kk];
+        const Vector &u = controls[kk];
+        linalg::transposed_multiply_into(a[kk], ws.vxx, ws.at_vxx);
+        linalg::transposed_multiply_into(b[kk], ws.vxx, ws.bt_vxx);
+        linalg::transposed_multiply_into(a[kk], ws.vx, ws.qx);
+        linalg::transposed_multiply_into(b[kk], ws.vx, ws.qu);
+        linalg::multiply_into(ws.at_vxx, a[kk], ws.qxx);
+        linalg::multiply_into(ws.bt_vxx, b[kk], ws.quu);
+        linalg::multiply_into(ws.bt_vxx, a[kk], ws.qux);
+        for (std::size_t i = 0; i < n; ++i) {
+            ws.qx[i] += p.w_q * (x[i] - p.q_goal[i]);
+            ws.qx[n + i] += p.w_qd * x[n + i];
+            ws.qu[i] += p.w_u * u[i];
+            ws.qxx(i, i) += p.w_q;
+            ws.qxx(n + i, n + i) += p.w_qd;
+            ws.quu(i, i) += p.w_u;
+            ws.quu(i, i) += mu;
+        }
+        if (!ws.quu_ldlt.factorize(ws.quu))
+            return false;
+        for (std::size_t i = 0; i < n; ++i) {
+            ws.gains(i, 0) = ws.qu[i];
+            for (std::size_t j = 0; j < 2 * n; ++j)
+                ws.gains(i, 1 + j) = ws.qux(i, j);
+        }
+        ws.quu_ldlt.solve_in_place(ws.gains);
+        for (std::size_t i = 0; i < n; ++i) {
+            ff[kk][i] = -ws.gains(i, 0);
+            for (std::size_t j = 0; j < 2 * n; ++j)
+                gain[kk](i, j) = -ws.gains(i, 1 + j);
+        }
+        linalg::transposed_multiply_into(ws.qux, ff[kk], ws.vx);
+        ws.vx += ws.qx;
+        linalg::transposed_multiply_into(ws.qux, gain[kk], ws.vxx);
+        ws.vxx += ws.qxx;
+        // Symmetrize against numerical drift.
+        for (std::size_t i = 0; i < 2 * n; ++i)
+            for (std::size_t j = i + 1; j < 2 * n; ++j) {
+                const double sym = (ws.vxx(i, j) + ws.vxx(j, i)) * 0.5;
+                ws.vxx(i, j) = sym;
+                ws.vxx(j, i) = sym;
+            }
+    }
+    // lint: warm-path end
+    return true;
+}
+
+} // namespace
+
+void
+DynamicsLinearizer::linearize_horizon(std::span<const Vector> states,
+                                      std::span<const Vector> controls,
+                                      double dt, std::span<Matrix> a,
+                                      std::span<Matrix> b)
+{
+    assert(states.size() == controls.size() && a.size() == controls.size() &&
+           b.size() == controls.size());
+    for (std::size_t k = 0; k < controls.size(); ++k)
+        linearize(states[k], controls[k], dt, a[k], b[k]);
+}
+
+void
+discretize_gradients(const Matrix &dqdd_dq, const Matrix &dqdd_dqd,
+                     const Matrix &mass_inv, double dt, Matrix &a, Matrix &b)
+{
+    const std::size_t n = mass_inv.rows();
     a.resize(2 * n, 2 * n);
     b.resize(2 * n, n);
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
-            const double dq = dt * g.dqdd_dq(i, j);
-            const double dqd = dt * g.dqdd_dqd(i, j);
+            const double dq = dt * dqdd_dq(i, j);
+            const double dqd = dt * dqdd_dqd(i, j);
             // qd' rows.
             a(n + i, j) = dq;
             a(n + i, n + j) = (i == j ? 1.0 : 0.0) + dqd;
             // q' rows = q + dt qd'.
             a(i, j) = (i == j ? 1.0 : 0.0) + dt * dq;
             a(i, n + j) = dt * ((i == j ? 1.0 : 0.0) + dqd);
-            const double du = dt * g.mass_inv(i, j);
+            const double du = dt * mass_inv(i, j);
             b(n + i, j) = du;
             b(i, j) = dt * du;
         }
     }
 }
-
-/** Running cost and its gradients at one knot. */
-struct CostExpansion
-{
-    double value = 0.0;
-    Vector lx;  // 2n
-    Matrix lxx; // diagonal weights, 2n x 2n
-    Vector lu;  // n
-    Matrix luu; // n x n
-};
-
-CostExpansion
-running_cost(const IlqrProblem &p, const Vector &x, const Vector &u)
-{
-    const std::size_t n = u.size();
-    CostExpansion c;
-    c.lx = Vector(2 * n);
-    c.lxx.resize(2 * n, 2 * n);
-    c.lu = Vector(n);
-    c.luu.resize(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double eq = x[i] - p.q_goal[i];
-        c.value += 0.5 * p.w_q * eq * eq + 0.5 * p.w_qd * x[n + i] * x[n + i] +
-                   0.5 * p.w_u * u[i] * u[i];
-        c.lx[i] = p.w_q * eq;
-        c.lx[n + i] = p.w_qd * x[n + i];
-        c.lxx(i, i) = p.w_q;
-        c.lxx(n + i, n + i) = p.w_qd;
-        c.lu[i] = p.w_u * u[i];
-        c.luu(i, i) = p.w_u;
-    }
-    return c;
-}
-
-CostExpansion
-terminal_cost(const IlqrProblem &p, const Vector &x)
-{
-    const std::size_t n = p.q_goal.size();
-    CostExpansion c;
-    c.lx = Vector(2 * n);
-    c.lxx.resize(2 * n, 2 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double eq = x[i] - p.q_goal[i];
-        c.value += 0.5 * p.w_terminal * eq * eq +
-                   0.5 * p.w_qd * x[n + i] * x[n + i];
-        c.lx[i] = p.w_terminal * eq;
-        c.lx[n + i] = p.w_qd * x[n + i];
-        c.lxx(i, i) = p.w_terminal;
-        c.lxx(n + i, n + i) = p.w_qd;
-    }
-    return c;
-}
-
-} // namespace
 
 double
 trajectory_cost(const IlqrProblem &problem,
@@ -154,8 +265,8 @@ trajectory_cost(const IlqrProblem &problem,
     assert(states.size() == controls.size() + 1);
     double cost = 0.0;
     for (std::size_t k = 0; k < controls.size(); ++k)
-        cost += running_cost(problem, states[k], controls[k]).value;
-    return cost + terminal_cost(problem, states.back()).value;
+        cost += running_cost(problem, states[k], controls[k]);
+    return cost + terminal_cost(problem, states.back());
 }
 
 IlqrResult
@@ -188,9 +299,14 @@ solve_ilqr(const topology::RobotModel &model,
     double cost = trajectory_cost(problem, result.states, result.controls);
     result.cost_history.push_back(cost);
 
+    HostLinearizer host(model, topo);
+    DynamicsLinearizer &linearizer =
+        options.linearizer != nullptr ? *options.linearizer : host;
     double mu = options.regularization;
-    std::vector<Matrix> a(horizon), b(horizon), gain_k(horizon);
-    std::vector<Vector> ff_k(horizon);
+    std::vector<Matrix> a(horizon), b(horizon);
+    std::vector<Vector> ff_k(horizon, Vector(n));
+    std::vector<Matrix> gain_k(horizon, Matrix(n, 2 * n));
+    RiccatiWorkspace riccati(n);
 
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
         ++result.iterations;
@@ -198,57 +314,18 @@ solve_ilqr(const topology::RobotModel &model,
         // ---- Linearization (the accelerated kernel) -------------------
         {
             const auto t0 = Clock::now();
-            for (std::size_t k = 0; k < horizon; ++k) {
-                if (options.linearizer)
-                    options.linearizer->linearize(result.states[k],
-                                                  result.controls[k],
-                                                  problem.dt, a[k], b[k]);
-                else
-                    linearize(model, topo, result.states[k],
-                              result.controls[k], problem.dt, a[k], b[k]);
-            }
+            linearizer.linearize_horizon(
+                std::span<const Vector>(result.states).first(horizon),
+                result.controls, problem.dt, a, b);
             result.timing.linearization_us += us_since(t0);
         }
 
         // ---- Riccati backward pass ------------------------------------
-        bool backward_ok = true;
-        {
-            const auto t0 = Clock::now();
-            const CostExpansion terminal =
-                terminal_cost(problem, result.states[horizon]);
-            Vector vx = terminal.lx;
-            Matrix vxx = terminal.lxx;
-            for (std::size_t kk = horizon; kk-- > 0;) {
-                const CostExpansion c =
-                    running_cost(problem, result.states[kk],
-                                 result.controls[kk]);
-                const Matrix at = a[kk].transposed();
-                const Matrix bt = b[kk].transposed();
-                const Vector qx = c.lx + at * vx;
-                const Vector qu = c.lu + bt * vx;
-                const Matrix qxx = c.lxx + at * vxx * a[kk];
-                Matrix quu = c.luu + bt * vxx * b[kk];
-                const Matrix qux = bt * vxx * a[kk];
-                for (std::size_t i = 0; i < n; ++i)
-                    quu(i, i) += mu;
-                const linalg::Ldlt solver(quu);
-                if (!solver.ok()) {
-                    backward_ok = false;
-                    break;
-                }
-                ff_k[kk] = solver.solve(qu) * -1.0;
-                gain_k[kk] = solver.solve(qux) * -1.0;
-                vx = qx + gain_k[kk].transposed() * (quu * ff_k[kk]) +
-                     gain_k[kk].transposed() * qu +
-                     qux.transposed() * ff_k[kk];
-                vxx = qxx + gain_k[kk].transposed() * quu * gain_k[kk] +
-                      gain_k[kk].transposed() * qux +
-                      qux.transposed() * gain_k[kk];
-                // Symmetrize against numerical drift.
-                vxx = (vxx + vxx.transposed()) * 0.5;
-            }
-            result.timing.backward_pass_us += us_since(t0);
-        }
+        const auto t_backward = Clock::now();
+        const bool backward_ok =
+            backward_pass(problem, result.states, result.controls, a, b, mu,
+                          riccati, ff_k, gain_k);
+        result.timing.backward_pass_us += us_since(t_backward);
         if (!backward_ok) {
             mu *= 10.0;
             continue;

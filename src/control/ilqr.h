@@ -19,6 +19,7 @@
 #ifndef ROBOSHAPE_CONTROL_ILQR_H
 #define ROBOSHAPE_CONTROL_ILQR_H
 
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -46,11 +47,12 @@ struct IlqrProblem
 /**
  * Pluggable backend for the discrete linearization x' ~ A x + B u.
  *
- * The solver calls linearize() once per knot point per iteration — the
- * dominant cost of the whole solve.  The default (a null linearizer in
- * IlqrOptions) evaluates dynamics::forward_dynamics_gradients on the
- * host; control::AcceleratorLinearizer routes the same evaluation through
- * the compiled accelerator simulation engine.
+ * The solver calls linearize_horizon() once per iteration with every knot
+ * point of the trajectory — the batched coprocessor pattern of paper
+ * Sec. 5.2.  The default (a null linearizer in IlqrOptions) evaluates
+ * dynamics::forward_dynamics_gradients on the host;
+ * control::AcceleratorLinearizer routes the same evaluation through the
+ * compiled accelerator simulation engine.
  */
 class DynamicsLinearizer
 {
@@ -65,7 +67,30 @@ class DynamicsLinearizer
     virtual void linearize(const linalg::Vector &x, const linalg::Vector &u,
                            double dt, linalg::Matrix &a,
                            linalg::Matrix &b) = 0;
+
+    /**
+     * Linearizes every knot k of a horizon at (@p states[k],
+     * @p controls[k]) into @p a[k] and @p b[k]; all four spans have one
+     * entry per knot.  The default calls linearize() knot by knot, so a
+     * backend only overrides this to batch the horizon.
+     */
+    virtual void linearize_horizon(std::span<const linalg::Vector> states,
+                                   std::span<const linalg::Vector> controls,
+                                   double dt, std::span<linalg::Matrix> a,
+                                   std::span<linalg::Matrix> b);
 };
+
+/**
+ * Writes the semi-implicit Euler linearization (qd' = qd + dt qdd,
+ * q' = q + dt qd') of the continuous forward-dynamics gradients
+ * @p dqdd_dq, @p dqdd_dqd and @p mass_inv (= dqdd/dtau) into @p a
+ * (2n x 2n) and @p b (2n x n) — the A/B assembly every DynamicsLinearizer
+ * shares.
+ */
+void discretize_gradients(const linalg::Matrix &dqdd_dq,
+                          const linalg::Matrix &dqdd_dqd,
+                          const linalg::Matrix &mass_inv, double dt,
+                          linalg::Matrix &a, linalg::Matrix &b);
 
 struct IlqrOptions
 {
@@ -114,8 +139,9 @@ struct IlqrResult
 
 /**
  * Solves the tracking problem with iLQR.  The number of gradient
- * evaluations is horizon x iterations — the batched coprocessor pattern
- * of paper Sec. 5.2.
+ * evaluations is horizon x iterations, one linearize_horizon() call per
+ * iteration — the batched coprocessor pattern of paper Sec. 5.2.  The
+ * Riccati backward pass runs in storage allocated once per solve.
  */
 IlqrResult solve_ilqr(const topology::RobotModel &model,
                       const topology::TopologyInfo &topo,

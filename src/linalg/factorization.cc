@@ -10,12 +10,15 @@
 namespace roboshape {
 namespace linalg {
 
-Ldlt::Ldlt(const Matrix &a)
+bool
+Ldlt::factorize(const Matrix &a)
 {
     assert(a.rows() == a.cols());
     const std::size_t n = a.rows();
-    l_ = Matrix::identity(n);
-    d_ = Vector(n);
+    l_.resize(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+        l_(i, i) = 1.0;
+    d_.resize(n);
     ok_ = true;
 
     for (std::size_t j = 0; j < n; ++j) {
@@ -25,7 +28,7 @@ Ldlt::Ldlt(const Matrix &a)
         d_[j] = dj;
         if (!(dj > 0.0)) {
             ok_ = false;
-            return;
+            return ok_;
         }
         for (std::size_t i = j + 1; i < n; ++i) {
             double lij = a(i, j);
@@ -34,6 +37,7 @@ Ldlt::Ldlt(const Matrix &a)
             l_(i, j) = lij / dj;
         }
     }
+    return ok_;
 }
 
 Vector
@@ -59,11 +63,34 @@ Ldlt::solve(const Vector &b) const
 Matrix
 Ldlt::solve(const Matrix &b) const
 {
-    assert(b.rows() == d_.size());
-    Matrix out(b.rows(), b.cols());
-    for (std::size_t c = 0; c < b.cols(); ++c)
-        out.set_col(c, solve(b.col(c)));
-    return out;
+    Matrix x = b;
+    solve_in_place(x);
+    return x;
+}
+
+void
+Ldlt::solve_in_place(Matrix &b) const
+{
+    assert(ok_ && b.rows() == d_.size());
+    const std::size_t n = d_.size();
+    const std::size_t m = b.cols();
+    // Row operations over all columns; per column, the same sequence of
+    // updates as the vector solve above.
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t k = 0; k < i; ++k) {
+            const double lik = l_(i, k);
+            for (std::size_t c = 0; c < m; ++c)
+                b(i, c) -= lik * b(k, c);
+        }
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t c = 0; c < m; ++c)
+            b(i, c) /= d_[i];
+    for (std::size_t ii = n; ii-- > 0;)
+        for (std::size_t k = ii + 1; k < n; ++k) {
+            const double lki = l_(k, ii);
+            for (std::size_t c = 0; c < m; ++c)
+                b(ii, c) -= lki * b(k, c);
+        }
 }
 
 Matrix

@@ -25,8 +25,18 @@ namespace linalg {
 class Ldlt
 {
   public:
+    /** An empty factorization; call factorize() before solving. */
+    Ldlt() = default;
+
     /** Factorizes @p a.  @p a must be square and symmetric. */
-    explicit Ldlt(const Matrix &a);
+    explicit Ldlt(const Matrix &a) { factorize(a); }
+
+    /**
+     * Factorizes @p a into this object's existing storage, so refactoring
+     * a matrix of an already-seen size performs no heap allocation.
+     * @return ok().
+     */
+    bool factorize(const Matrix &a);
 
     /** True when the factorization succeeded (no nonpositive pivot). */
     bool ok() const { return ok_; }
@@ -36,6 +46,14 @@ class Ldlt
 
     /** Solves A X = B columnwise. */
     Matrix solve(const Matrix &b) const;
+
+    /**
+     * Solves A X = B for every column of @p b at once, overwriting @p b
+     * with X.  Each column sees exactly the operations, in the same order,
+     * of solve(const Vector &), so results are bit-identical to per-column
+     * solves.
+     */
+    void solve_in_place(Matrix &b) const;
 
     /** @return A^-1 (solves against the identity). */
     Matrix inverse() const;

@@ -110,17 +110,8 @@ Matrix::operator*=(double s)
 Matrix
 Matrix::operator*(const Matrix &rhs) const
 {
-    assert(cols_ == rhs.rows_);
-    Matrix out(rows_, rhs.cols_);
-    for (std::size_t i = 0; i < rows_; ++i) {
-        for (std::size_t k = 0; k < cols_; ++k) {
-            const double a = (*this)(i, k);
-            if (a == 0.0)
-                continue;
-            for (std::size_t j = 0; j < rhs.cols_; ++j)
-                out(i, j) += a * rhs(k, j);
-        }
-    }
+    Matrix out;
+    multiply_into(*this, rhs, out);
     return out;
 }
 
@@ -274,6 +265,52 @@ operator<<(std::ostream &os, const Vector &v)
     for (std::size_t i = 0; i < v.size(); ++i)
         os << (i ? ", " : "") << v[i];
     return os << "]";
+}
+
+void
+multiply_into(const Matrix &a, const Matrix &b, Matrix &out)
+{
+    assert(a.cols() == b.rows() && &out != &a && &out != &b);
+    out.resize(a.rows(), b.cols());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t k = 0; k < a.cols(); ++k) {
+            const double aik = a(i, k);
+            if (aik == 0.0)
+                continue;
+            for (std::size_t j = 0; j < b.cols(); ++j)
+                out(i, j) += aik * b(k, j);
+        }
+    }
+}
+
+void
+transposed_multiply_into(const Matrix &a, const Matrix &b, Matrix &out)
+{
+    assert(a.rows() == b.rows() && &out != &a && &out != &b);
+    out.resize(a.cols(), b.cols());
+    // k outermost keeps every access row-contiguous; each out(i, j) still
+    // accumulates its terms in ascending k, as operator* on a^T does.
+    for (std::size_t k = 0; k < a.rows(); ++k) {
+        for (std::size_t i = 0; i < a.cols(); ++i) {
+            const double aki = a(k, i);
+            if (aki == 0.0)
+                continue;
+            for (std::size_t j = 0; j < b.cols(); ++j)
+                out(i, j) += aki * b(k, j);
+        }
+    }
+}
+
+void
+transposed_multiply_into(const Matrix &a, const Vector &v, Vector &out)
+{
+    assert(a.rows() == v.size() && &out != &v);
+    out.resize(a.cols());
+    for (std::size_t k = 0; k < a.rows(); ++k) {
+        const double vk = v[k];
+        for (std::size_t i = 0; i < a.cols(); ++i)
+            out[i] += a(k, i) * vk;
+    }
 }
 
 double

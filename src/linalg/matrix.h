@@ -226,6 +226,25 @@ class Matrix
 std::ostream &operator<<(std::ostream &os, const Matrix &m);
 std::ostream &operator<<(std::ostream &os, const Vector &v);
 
+/**
+ * @p out = @p a * @p b, written into @p out's existing storage: once
+ * @p out has held a product of this size the call allocates nothing.
+ * Same loop order and zero skip as Matrix::operator*, which calls it.
+ * @p out must not alias an operand.
+ */
+void multiply_into(const Matrix &a, const Matrix &b, Matrix &out);
+
+/**
+ * @p out = @p a^T * @p b without forming a^T, allocation-free like
+ * multiply_into.  Bit-identical to `a.transposed() * b`, including its
+ * skip of zero entries of a^T.  @p out must not alias an operand.
+ */
+void transposed_multiply_into(const Matrix &a, const Matrix &b, Matrix &out);
+
+/** @p out = @p a^T * @p v without forming a^T; bit-identical to
+ *  `a.transposed() * v`. */
+void transposed_multiply_into(const Matrix &a, const Vector &v, Vector &out);
+
 /** Maximum absolute elementwise difference between two equal-sized
  *  matrices. */
 double max_abs_diff(const Matrix &a, const Matrix &b);

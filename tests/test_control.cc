@@ -6,8 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
+#include "accel/simd_lanes.h"
+#include "control/accel_linearizer.h"
 #include "control/ilqr.h"
 #include "dynamics/aba.h"
+#include "dynamics/robot_state.h"
 #include "topology/parametric_robots.h"
 #include "topology/robot_library.h"
 
@@ -15,6 +22,7 @@ namespace roboshape {
 namespace control {
 namespace {
 
+using linalg::Matrix;
 using linalg::Vector;
 using topology::RobotId;
 using topology::RobotModel;
@@ -135,6 +143,153 @@ TEST(Ilqr, CostFunctionMatchesManualSum)
     }
     // Terminal: exactly at goal with zero velocity -> zero.
     EXPECT_NEAR(trajectory_cost(p, xs, us), expected, 1e-12);
+}
+
+/** The fixed-work settings of the perfbench ilqr_stream solves: exactly
+ *  four iterations, one full-step line search each. */
+IlqrOptions
+fixed_work_options()
+{
+    IlqrOptions options;
+    options.max_iterations = 4;
+    options.cost_tolerance = 0.0;
+    options.max_line_search = 1;
+    return options;
+}
+
+TEST(Ilqr, CostHistoryMatchesPinnedRiccatiPass)
+{
+    // Recorded from the solver before its Riccati pass moved into a
+    // preallocated workspace (explicit transposes, four-term value
+    // update).  The passes are algebraically equal and agree to ~1e-15
+    // on these reaches from rest.  Offset starts can leave Quu with a
+    // condition number near 1e7, where both passes round off by up to
+    // ~1e-9 against an extended-precision reference.
+    struct Pinned
+    {
+        RobotId id;
+        std::size_t horizon;
+        std::vector<double> costs;
+    };
+    const Pinned pinned[] = {
+        {RobotId::kIiwa, 8,
+         {151.19999999999999, 77.54859462365917, 71.21214199109761,
+          71.1954769491321, 71.195315612670925}},
+        {RobotId::kIiwa, 16,
+         {176.39999999999998, 62.63564973275021, 59.760770455146613,
+          59.73912176856895, 59.738669656232609}},
+        {RobotId::kHyq, 8,
+         {291.5644090072106, 74.539665526582226, 74.531654895402852,
+          74.531654891686941, 74.531654891686927}},
+        {RobotId::kHyq, 16,
+         {467.768766492856, 61.46885969991537, 61.466646454214242,
+          61.466646453033988}},
+        {RobotId::kHyqWithArm, 8,
+         {442.76440900721059, 148.58611670224863, 141.97373296571885,
+          141.95673488008691, 141.95651698576708}},
+        {RobotId::kHyqWithArm, 16,
+         {644.16876649285609, 116.21303283510311, 112.49323593249312,
+          112.47400725393825, 112.47391689266306}},
+    };
+    for (const Pinned &p : pinned) {
+        const RobotModel m = build_robot(p.id);
+        const TopologyInfo topo(m);
+        const IlqrResult r = solve_ilqr(
+            m, topo, reach_problem(m, 0.3, p.horizon), fixed_work_options());
+        const std::string what =
+            m.name() + " horizon " + std::to_string(p.horizon);
+        EXPECT_EQ(r.iterations, 4u) << what;
+        ASSERT_EQ(r.cost_history.size(), p.costs.size()) << what;
+        for (std::size_t k = 0; k < p.costs.size(); ++k)
+            EXPECT_NEAR(r.cost_history[k], p.costs[k], 1e-9 * p.costs[k])
+                << what << " entry " << k;
+    }
+}
+
+/** Restores automatic lane-backend detection when a test scope ends. */
+struct BackendGuard
+{
+    ~BackendGuard() { accel::simd::set_lane_backend("auto"); }
+};
+
+TEST(AcceleratorLinearizer, HorizonIsBitIdenticalToPerKnotLinearize)
+{
+    BackendGuard guard;
+    const std::size_t w = accel::simd::lane_backend().width;
+    for (const std::string backend : {"active", "scalar"}) {
+        if (backend == "scalar") {
+            ASSERT_TRUE(accel::simd::set_lane_backend("scalar"));
+        }
+        for (const RobotId id : topology::all_robots()) {
+            const RobotModel m = build_robot(id);
+            const std::size_t n = m.num_links();
+            const accel::AcceleratorDesign design(m, {4, 4, 4});
+            // One linearizer across growing and shrinking horizons, so
+            // its per-knot storage is reused as well as grown.
+            AcceleratorLinearizer batched(design);
+            std::size_t packets = 0;
+            for (const std::size_t horizon : {w + 1, std::size_t{1}, w - 1, w}) {
+                if (horizon == 0)
+                    continue;
+                std::vector<Vector> xs(horizon, Vector(2 * n));
+                std::vector<Vector> us(horizon);
+                for (std::size_t k = 0; k < horizon; ++k) {
+                    const dynamics::RobotState s = dynamics::random_state(
+                        m, static_cast<std::uint32_t>(100 * horizon + k));
+                    for (std::size_t i = 0; i < n; ++i) {
+                        xs[k][i] = s.q[i];
+                        xs[k][n + i] = s.qd[i];
+                    }
+                    us[k] = s.tau;
+                }
+                std::vector<Matrix> a(horizon), b(horizon);
+                batched.linearize_horizon(xs, us, 0.01, a, b);
+                packets += horizon;
+                EXPECT_EQ(batched.calls(), packets);
+
+                AcceleratorLinearizer per_knot(design);
+                for (std::size_t k = 0; k < horizon; ++k) {
+                    Matrix ak, bk;
+                    per_knot.linearize(xs[k], us[k], 0.01, ak, bk);
+                    const std::string what =
+                        backend + " " + m.name() + " horizon " +
+                        std::to_string(horizon) + " knot " +
+                        std::to_string(k);
+                    ASSERT_EQ(a[k].rows(), 2 * n) << what;
+                    ASSERT_EQ(b[k].cols(), n) << what;
+                    EXPECT_EQ(linalg::max_abs_diff(a[k], ak), 0.0) << what;
+                    EXPECT_EQ(linalg::max_abs_diff(b[k], bk), 0.0) << what;
+                }
+            }
+        }
+    }
+}
+
+TEST(AcceleratorLinearizer, SolveMatchesHostLinearizerSolve)
+{
+    // perfbench's ilqr_stream oracle: equal iteration count and final
+    // cost within 1e-9 relative of the host-library solve.
+    for (const RobotId id : topology::all_robots()) {
+        const RobotModel m = build_robot(id);
+        const TopologyInfo topo(m);
+        const accel::AcceleratorDesign design(m, {4, 4, 4});
+        for (const std::size_t horizon : {8u, 16u}) {
+            const IlqrProblem problem = reach_problem(m, 0.3, horizon);
+            IlqrOptions options = fixed_work_options();
+            const IlqrResult host = solve_ilqr(m, topo, problem, options);
+            AcceleratorLinearizer linearizer(design);
+            options.linearizer = &linearizer;
+            const IlqrResult accel = solve_ilqr(m, topo, problem, options);
+            const std::string what =
+                m.name() + " horizon " + std::to_string(horizon);
+            EXPECT_EQ(accel.iterations, host.iterations) << what;
+            EXPECT_LE(std::abs(accel.final_cost() - host.final_cost()),
+                      1e-9 * std::abs(host.final_cost()))
+                << what;
+            // One packet per knot per iteration.
+            EXPECT_EQ(linearizer.calls(), accel.iterations * horizon) << what;
+        }
+    }
 }
 
 } // namespace

@@ -82,6 +82,33 @@ TEST(Matrix, MatrixVectorAgreesWithMatrixMatrix)
         EXPECT_NEAR(y[i], ym(i, 0), 1e-12);
 }
 
+TEST(Matrix, InPlaceProductsMatchAllocatingForms)
+{
+    Matrix a = random_matrix(5, 4, 12);
+    a(1, 2) = 0.0; // exercises the zero skip
+    a(3, 0) = 0.0;
+    const Matrix b = random_matrix(4, 6, 13);
+    const Matrix c = random_matrix(5, 3, 14);
+    const Vector v = random_vector(5, 15);
+
+    // Stale contents and shape in the output are fully overwritten.
+    Matrix out = random_matrix(2, 9, 16);
+    multiply_into(a, b, out);
+    ASSERT_EQ(out.rows(), 5u);
+    ASSERT_EQ(out.cols(), 6u);
+    EXPECT_EQ(max_abs_diff(out, a * b), 0.0);
+
+    transposed_multiply_into(a, c, out);
+    ASSERT_EQ(out.rows(), 4u);
+    ASSERT_EQ(out.cols(), 3u);
+    EXPECT_EQ(max_abs_diff(out, a.transposed() * c), 0.0);
+
+    Vector vout = random_vector(2, 17);
+    transposed_multiply_into(a, v, vout);
+    ASSERT_EQ(vout.size(), 4u);
+    EXPECT_EQ(max_abs_diff(vout, a.transposed() * v), 0.0);
+}
+
 TEST(Matrix, BlockReadWriteRoundTrip)
 {
     Matrix a = random_matrix(6, 6, 5);
@@ -143,6 +170,37 @@ TEST(Ldlt, FactorsReassembleTheMatrix)
         d(i, i) = f.d()[i];
     const Matrix rebuilt = f.l() * d * f.l().transposed();
     EXPECT_LT(max_abs_diff(rebuilt, a), 1e-9);
+}
+
+TEST(Ldlt, RefactorizeMatchesFreshFactorization)
+{
+    Matrix indefinite = Matrix::identity(4);
+    indefinite(2, 2) = -1.0;
+    const Matrix a = random_spd_matrix(4, 45);
+    Ldlt f;
+    EXPECT_FALSE(f.factorize(indefinite));
+    EXPECT_TRUE(f.factorize(a));
+    const Ldlt fresh(a);
+    EXPECT_EQ(max_abs_diff(f.l(), fresh.l()), 0.0);
+    EXPECT_EQ(max_abs_diff(f.d(), fresh.d()), 0.0);
+}
+
+TEST(Ldlt, MultiRhsSolveIsBitIdenticalPerColumn)
+{
+    const Matrix a = random_spd_matrix(7, 46);
+    const Matrix b = random_matrix(7, 5, 47);
+    const Ldlt f(a);
+    ASSERT_TRUE(f.ok());
+    Matrix x = b;
+    f.solve_in_place(x);
+    const Matrix y = f.solve(b);
+    for (std::size_t c = 0; c < b.cols(); ++c) {
+        const Vector col = f.solve(b.col(c));
+        for (std::size_t i = 0; i < b.rows(); ++i) {
+            EXPECT_EQ(x(i, c), col[i]) << i << "," << c;
+            EXPECT_EQ(y(i, c), col[i]) << i << "," << c;
+        }
+    }
 }
 
 TEST(Llt, AgreesWithLdltAndReassembles)
