@@ -2,13 +2,14 @@
  * @file
  * Implementation of the compiled functional simulation engine.
  *
- * The arithmetic here is a line-for-line port of the legacy one-shot
- * simulators (functional_sim.cc, kernel_sim.cc), which remain in-tree as
- * the golden reference: the engine must stay exactly equal to them (see
- * tests/test_sim_engine.cc).  What changes is *when* work happens — order
- * resolution, task lookup, root-path expansion, and hazard checking all
- * move into the constructor, leaving run() as a straight-line sweep over
- * precomputed ops.
+ * The engine must stay exactly equal to the legacy one-shot simulators
+ * (functional_sim.cc, kernel_sim.cc), which remain in-tree as the golden
+ * reference (see tests/test_sim_engine.cc).  What changes is *when* work
+ * happens — order resolution, task lookup, root-path expansion, and hazard
+ * checking all move into the constructor, leaving run() as a straight-line
+ * sweep over precomputed ops.  The mass-matrix and kinematics sweeps live
+ * here; the gradient sweep is the lane kernel (simd_lanes_impl.inl), run
+ * at width 1 by run() and at the backend width by run_batch().
  */
 
 #include "accel/sim_engine.h"
@@ -31,8 +32,6 @@ using sched::TaskType;
 using spatial::SpatialInertia;
 using spatial::SpatialTransform;
 using spatial::SpatialVector;
-using spatial::cross_force;
-using spatial::cross_motion;
 using topology::kBaseParent;
 
 namespace {
@@ -91,18 +90,19 @@ SimEngine::SimEngine(const AcceleratorDesign &design, SimOrder order)
 }
 
 const char *
-SimEngine::op_name(Op::Kind k) noexcept
+engine_op_name(EngineOp::Kind k) noexcept
 {
+    using Kind = EngineOp::Kind;
     switch (k) {
-      case Op::Kind::kRneaForward:   return "rneaFwd";
-      case Op::Kind::kRneaBackward:  return "rneaBwd";
-      case Op::Kind::kGradForward:   return "gradFwd";
-      case Op::Kind::kGradBackward:  return "gradBwd";
-      case Op::Kind::kCrbaSetup:     return "crbaSetup";
-      case Op::Kind::kCrbaComposite: return "crbaComposite";
-      case Op::Kind::kCrbaWalk:      return "crbaWalk";
-      case Op::Kind::kFkPose:        return "fkPose";
-      case Op::Kind::kFkJacobian:    return "fkJacobian";
+      case Kind::kRneaForward:   return "rneaFwd";
+      case Kind::kRneaBackward:  return "rneaBwd";
+      case Kind::kGradForward:   return "gradFwd";
+      case Kind::kGradBackward:  return "gradBwd";
+      case Kind::kCrbaSetup:     return "crbaSetup";
+      case Kind::kCrbaComposite: return "crbaComposite";
+      case Kind::kCrbaWalk:      return "crbaWalk";
+      case Kind::kFkPose:        return "fkPose";
+      case Kind::kFkJacobian:    return "fkJacobian";
     }
     return "op";
 }
@@ -296,23 +296,19 @@ SimEngine::compile_kinematics(const std::vector<const Placement *> &ops)
 SimEngine::Workspace
 SimEngine::make_workspace() const
 {
+    // Gradient workspaces are lane workspaces, sized by their first group.
     Workspace ws;
-    ws.xup.resize(n_);
     switch (design_->kernel()) {
       case sched::KernelKind::kDynamicsGradient:
-        ws.v.resize(n_);
-        ws.a.resize(n_);
-        ws.f.resize(n_);
-        ws.dv.resize(n_ * n_);
-        ws.da.resize(n_ * n_);
-        ws.df.resize(n_ * n_);
         break;
       case sched::KernelKind::kMassMatrix:
+        ws.xup.resize(n_);
         ws.ic_children.resize(n_);
         ws.ic_total.resize(n_);
         ws.f_walk.resize(n_);
         break;
       case sched::KernelKind::kForwardKinematics:
+        ws.xup.resize(n_);
         ws.carry.resize(n_ * n_);
         break;
     }
@@ -324,17 +320,7 @@ SimEngine::prepare(EngineResult &out) const
 {
     switch (design_->kernel()) {
       case sched::KernelKind::kDynamicsGradient:
-        out.tau.resize(n_);
-        if (out.dtau_dq.rows() == n_ && out.dtau_dq.cols() == n_)
-            out.dtau_dq.set_zero();
-        else
-            out.dtau_dq.resize(n_, n_);
-        if (out.dtau_dqd.rows() == n_ && out.dtau_dqd.cols() == n_)
-            out.dtau_dqd.set_zero();
-        else
-            out.dtau_dqd.resize(n_, n_);
-        // dqdd_dq / dqdd_dqd are prepared by blocked_multiply_into.
-        break;
+        break; // demarshal_gradient_group sizes the gradient fields
       case sched::KernelKind::kMassMatrix:
         if (out.mass.rows() == n_ && out.mass.cols() == n_)
             out.mass.set_zero();
@@ -358,21 +344,25 @@ SimEngine::prepare(EngineResult &out) const
     }
 }
 
-// The interpreter below is the zero-allocation warm path (PR 2 contract,
-// asserted by the counting-operator-new tests); roboshape_lint enforces it
-// lexically on top (docs/STATIC_ANALYSIS.md).  Growth belongs in compile()/
-// prepare()/the batch wrappers, all outside this region.
+// The interpreters below are the zero-allocation warm path (asserted by
+// the counting-operator-new tests); roboshape_lint enforces it lexically
+// on top (docs/STATIC_ANALYSIS.md).  Growth belongs in compile()/
+// prepare()/the batch wrappers/the lane marshal, all outside this region.
 // lint: warm-path begin
 void
 SimEngine::run(Workspace &ws, const InputPacket &in, EngineResult &out) const
 {
-    assert(ws.xup.size() == n_ && "workspace was not made by this engine");
+    // Gradient workspaces size themselves; the others come sized.
+    assert((design_->kernel() == sched::KernelKind::kDynamicsGradient ||
+            ws.xup.size() == n_) &&
+           "workspace was not made by this engine");
     switch (design_->kernel()) {
       case sched::KernelKind::kDynamicsGradient:
         if (!in.q || !in.qd || !in.qdd || !in.minv)
             throw std::invalid_argument(
                 "gradient packet requires q, qd, qdd, and minv");
-        run_gradient(ws, in, out);
+        run_gradient_group(&simd::run_gradient_lanes_scalar, 1, &in,
+                           ws.lanes, &out);
         break;
       case sched::KernelKind::kMassMatrix:
         if (!in.q)
@@ -391,160 +381,24 @@ SimEngine::run(Workspace &ws, const InputPacket &in, EngineResult &out) const
 }
 
 void
-SimEngine::run_gradient(Workspace &ws, const InputPacket &in,
-                        EngineResult &out) const
+SimEngine::run_gradient_group(simd::GradientLaneFn kernel, std::size_t width,
+                              const InputPacket *in, simd::LaneWorkspace &lw,
+                              EngineResult *out) const
 {
-    const auto &model = design_->model();
-    const linalg::Vector &q = *in.q;
-    const linalg::Vector &qd = *in.qd;
-    const linalg::Vector &qdd = *in.qdd;
-    const bool traced = obs::wall_trace_enabled();
-    prepare(out);
+    simd::GradientTraceView tv;
+    tv.trace = trace_.data();
+    tv.trace_size = trace_.size();
+    tv.velocity_trace = velocity_trace_.data();
+    tv.velocity_size = velocity_trace_.size();
+    tv.root_paths = root_paths_.data();
+    tv.s = s_.data();
+    tv.model = &design_->model();
+    tv.n = n_;
+    tv.block_size = design_->params().block_size;
 
-    // Input marshalling, as in the legacy SimState constructor.
-    const std::uint64_t t_marshal = traced ? obs::wall_now_ns() : 0;
-    for (std::size_t i = 0; i < n_; ++i) {
-        const auto &link = model.link(i);
-        ws.xup[i] = link.joint.transform(q[i]) * link.x_tree;
-    }
-    const SpatialVector a_base(spatial::Vec3::zero(), -in.gravity);
-    std::fill(ws.v.begin(), ws.v.end(), SpatialVector::zero());
-    std::fill(ws.a.begin(), ws.a.end(), SpatialVector::zero());
-    std::fill(ws.f.begin(), ws.f.end(), SpatialVector::zero());
-    if (traced)
-        obs::record_wall_span("sim.marshal", "phase", t_marshal,
-                              obs::wall_now_ns());
-
-    const auto rnea_forward = [&](const Op &op) {
-        const auto i = static_cast<std::size_t>(op.link);
-        const std::int32_t p = op.parent;
-        const SpatialVector vj = s_[i] * qd[i];
-        if (p == kBaseParent) {
-            ws.v[i] = vj;
-            ws.a[i] = ws.xup[i].apply(a_base) + s_[i] * qdd[i];
-        } else {
-            ws.v[i] = ws.xup[i].apply(ws.v[p]) + vj;
-            ws.a[i] = ws.xup[i].apply(ws.a[p]) + s_[i] * qdd[i] +
-                      cross_motion(ws.v[i], vj);
-        }
-        const auto &inertia = model.link(i).inertia;
-        ws.f[i] = inertia.apply(ws.a[i]) +
-                  cross_force(ws.v[i], inertia.apply(ws.v[i]));
-    };
-    const auto rnea_backward = [&](const Op &op) {
-        const auto i = static_cast<std::size_t>(op.link);
-        out.tau[i] = s_[i].dot(ws.f[i]);
-        if (op.parent != kBaseParent)
-            ws.f[op.parent] += ws.xup[i].apply_transpose_to_force(ws.f[i]);
-    };
-    const auto grad_forward = [&](const Op &op, bool velocity) {
-        const auto i = static_cast<std::size_t>(op.link);
-        const std::int32_t p = op.parent;
-        const auto &inertia = model.link(i).inertia;
-        for (std::uint32_t k = op.path_begin; k < op.path_end; ++k) {
-            const auto j = static_cast<std::size_t>(root_paths_[k]);
-            SpatialVector dv, da;
-            if (j == i && velocity) {
-                dv = s_[i];
-                da = cross_motion(ws.v[i], s_[i]);
-            } else if (j == i) {
-                const SpatialVector xap =
-                    ws.xup[i].apply(p == kBaseParent ? a_base : ws.a[p]);
-                dv = cross_motion(ws.v[i], s_[i]);
-                da = cross_motion(xap, s_[i]) +
-                     cross_motion(dv, s_[i] * qd[i]);
-            } else {
-                dv = ws.xup[i].apply(ws.dv[j * n_ + p]);
-                da = ws.xup[i].apply(ws.da[j * n_ + p]) +
-                     cross_motion(dv, s_[i] * qd[i]);
-            }
-            ws.dv[j * n_ + i] = dv;
-            ws.da[j * n_ + i] = da;
-            ws.df[j * n_ + i] = inertia.apply(da) +
-                                cross_force(dv, inertia.apply(ws.v[i])) +
-                                cross_force(ws.v[i], inertia.apply(dv));
-        }
-    };
-    const auto grad_backward = [&](const Op &op, bool velocity) {
-        const auto i = static_cast<std::size_t>(op.link);
-        const auto j = static_cast<std::size_t>(op.column);
-        const SpatialVector &df = ws.df[j * n_ + i];
-        const double dtau = s_[i].dot(df);
-        (velocity ? out.dtau_dqd : out.dtau_dq)(i, j) = dtau;
-        if (op.parent != kBaseParent) {
-            SpatialVector carried = df;
-            if (op.seed && !velocity)
-                carried += cross_force(s_[j], ws.f[j]);
-            ws.df[j * n_ + op.parent] +=
-                ws.xup[i].apply_transpose_to_force(carried);
-        }
-    };
-    const auto clear_derivatives = [&] {
-        std::fill(ws.dv.begin(), ws.dv.end(), SpatialVector::zero());
-        std::fill(ws.da.begin(), ws.da.end(), SpatialVector::zero());
-        std::fill(ws.df.begin(), ws.df.end(), SpatialVector::zero());
-    };
-
-    // Position pass: all four traversal stages.
-    const std::uint64_t t_pos = traced ? obs::wall_now_ns() : 0;
-    clear_derivatives();
-    for (const Op &op : trace_) {
-        const std::uint64_t t_op = traced ? obs::wall_now_ns() : 0;
-        switch (op.kind) {
-          case Op::Kind::kRneaForward:
-            rnea_forward(op);
-            break;
-          case Op::Kind::kRneaBackward:
-            rnea_backward(op);
-            break;
-          case Op::Kind::kGradForward:
-            grad_forward(op, false);
-            break;
-          default:
-            grad_backward(op, false);
-            break;
-        }
-        if (traced)
-            obs::record_wall_span(op_name(op.kind), "op", t_op,
-                                  obs::wall_now_ns(), op.link, op.column);
-    }
-    if (traced)
-        obs::record_wall_span("sim.position_pass", "phase", t_pos,
-                              obs::wall_now_ns());
-    // Velocity pass: gradient stages re-run with velocity seeds.
-    const std::uint64_t t_vel = traced ? obs::wall_now_ns() : 0;
-    clear_derivatives();
-    for (const Op &op : velocity_trace_) {
-        const std::uint64_t t_op = traced ? obs::wall_now_ns() : 0;
-        if (op.kind == Op::Kind::kGradForward)
-            grad_forward(op, true);
-        else
-            grad_backward(op, true);
-        if (traced)
-            obs::record_wall_span(op_name(op.kind), "op", t_op,
-                                  obs::wall_now_ns(), op.link, op.column);
-    }
-    if (traced)
-        obs::record_wall_span("sim.velocity_pass", "phase", t_vel,
-                              obs::wall_now_ns());
-
-    // Final stage: blocked -M^-1 multiplies with NOP skipping.  The fused
-    // negation is an exact sign flip of the legacy `blocked_multiply(...)
-    // * -1.0` result (up to the sign of exact zeros).
-    const std::uint64_t t_mm = traced ? obs::wall_now_ns() : 0;
-    linalg::BlockMultiplyStats stats_q, stats_qd;
-    const std::size_t bs = design_->params().block_size;
-    linalg::blocked_multiply_into(*in.minv, out.dtau_dq, bs, out.dqdd_dq,
-                                  ws.pa, ws.pb, /*negate=*/true, &stats_q);
-    linalg::blocked_multiply_into(*in.minv, out.dtau_dqd, bs, out.dqdd_dqd,
-                                  ws.pa, ws.pb, /*negate=*/true, &stats_qd);
-    if (traced)
-        obs::record_wall_span("sim.mm_solve", "phase", t_mm,
-                              obs::wall_now_ns());
-    out.mm_stats.block_macs = stats_q.block_macs + stats_qd.block_macs;
-    out.mm_stats.block_nops = stats_q.block_nops + stats_qd.block_nops;
-    out.mm_stats.scalar_macs = stats_q.scalar_macs + stats_qd.scalar_macs;
-    out.tasks_executed = trace_.size() + velocity_trace_.size();
+    simd::marshal_gradient_group(design_->model(), n_, width, in, lw);
+    kernel(tv, lw);
+    simd::demarshal_gradient_group(n_, width, trace_length(), lw, out);
 }
 
 void
@@ -590,7 +444,7 @@ SimEngine::run_mass_matrix(Workspace &ws, const InputPacket &in,
           }
         }
         if (traced)
-            obs::record_wall_span(op_name(op.kind), "op", t_op,
+            obs::record_wall_span(engine_op_name(op.kind), "op", t_op,
                                   obs::wall_now_ns(), op.link, op.column);
     }
     if (traced)
@@ -641,7 +495,7 @@ SimEngine::run_kinematics(Workspace &ws, const InputPacket &in,
             }
         }
         if (traced)
-            obs::record_wall_span(op_name(op.kind), "op", t_op,
+            obs::record_wall_span(engine_op_name(op.kind), "op", t_op,
                                   obs::wall_now_ns(), op.link, op.column);
     }
     if (traced)
@@ -661,7 +515,7 @@ SimEngine::run_batch(std::span<const InputPacket> in,
     ROBOSHAPE_OBS_COUNT("sim.batch_packets", in.size());
 
     // SIMD group path: gradient engines with a vector backend and at least
-    // one full lane group.  Bit-identical to the scalar path below (see
+    // one full lane group.  The same kernel source as run() (see
     // accel/simd_lanes.h), so dispatch is a pure throughput decision.
     const simd::LaneBackend &backend = simd::lane_backend();
     if (backend.gradient != nullptr &&
@@ -714,39 +568,23 @@ SimEngine::run_batch_lanes(std::span<const InputPacket> in,
     const std::size_t tail = in.size() - groups * width;
     core::Executor &exec = core::Executor::instance();
     const std::size_t workers = exec.resolve_width(groups, threads);
-    while (ws.lanes.size() < workers)
-        ws.lanes.emplace_back();
-    if (ws.per_thread.empty())
+    while (ws.per_thread.size() < workers)
         ws.per_thread.push_back(make_workspace());
 
     ROBOSHAPE_OBS_RECORD("sim.lane_width", width);
     ROBOSHAPE_OBS_COUNT("sim.batch_tail_packets", tail);
 
-    simd::GradientTraceView tv;
-    tv.trace = trace_.data();
-    tv.trace_size = trace_.size();
-    tv.velocity_trace = velocity_trace_.data();
-    tv.velocity_size = velocity_trace_.size();
-    tv.root_paths = root_paths_.data();
-    tv.s = s_.data();
-    tv.model = &design_->model();
-    tv.n = n_;
-    tv.block_size = design_->params().block_size;
-
-    const std::size_t tasks = trace_.size() + velocity_trace_.size();
     // Executor lane indices are exclusive to one OS thread per region, so
-    // each SoA lane workspace stays single-threaded under stealing —
-    // mirroring the scalar shard path above.
+    // each worker's lane workspace stays single-threaded under stealing,
+    // as in the shard path above.
     std::array<std::uint64_t, core::kMaxExecutorLanes> shard{};
     exec.parallel_for_lanes(
         groups,
         [&](std::size_t g, std::size_t lane) {
-            simd::LaneWorkspace &lw = ws.lanes[lane];
-            simd::marshal_gradient_group(design_->model(), n_, width,
-                                         in.data() + g * width, lw);
-            backend.gradient(tv, lw);
-            simd::demarshal_gradient_group(n_, width, tasks, lw,
-                                           out.data() + g * width);
+            run_gradient_group(backend.gradient, width,
+                               in.data() + g * width,
+                               ws.per_thread[lane].lanes,
+                               out.data() + g * width);
             shard[lane] += width;
         },
         workers);
@@ -755,24 +593,14 @@ SimEngine::run_batch_lanes(std::span<const InputPacket> in,
     for (std::size_t t = 0; t < workers; ++t)
         ROBOSHAPE_OBS_RECORD("sim.batch_shard_packets", shard[t]);
     ROBOSHAPE_OBS_COUNT("sim.runs", groups * width);
-    ROBOSHAPE_OBS_COUNT("sim.ops_executed", groups * width * tasks);
+    ROBOSHAPE_OBS_COUNT("sim.ops_executed",
+                        groups * width * trace_length());
 
-    // Tail: fewer than one lane group left; the scalar reference path
-    // produces the same bits, so running it here keeps results invariant
-    // across batch size, lane width, and thread count.
+    // Tail: fewer than one lane group left; run() executes the same kernel
+    // at width 1, so results stay invariant across batch size, lane width,
+    // and thread count.
     for (std::size_t i = groups * width; i < in.size(); ++i)
         run(ws.per_thread[0], in[i], out[i]);
-}
-
-void
-SimEngine::run_batch(std::span<const InputPacket> in,
-                     std::span<EngineResult> out, std::size_t threads) const
-{
-    // Engine-owned workspace so warm convenience calls stay allocation-free
-    // (a fresh BatchWorkspace here used to reallocate every workspace
-    // vector per call).  Serialized: concurrent convenience callers queue.
-    std::lock_guard<std::mutex> lock(convenience_ws_->mutex);
-    run_batch(in, out, convenience_ws_->ws, threads);
 }
 
 } // namespace accel

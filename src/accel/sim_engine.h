@@ -22,9 +22,9 @@
  *  - run() executes the trace against a persistent Workspace and a
  *    reusable EngineResult.  After one warm-up call, run() performs zero
  *    heap allocations.  Outputs are exactly equal to the legacy one-shot
- *    simulators (which stay in-tree as the golden reference) — the final
- *    -M^-1 multiply uses linalg::blocked_multiply_into with fused
- *    negation, an exact sign flip.
+ *    simulators (which stay in-tree as the golden reference).  Gradient
+ *    designs run on the lane kernel of accel/simd_lanes.h at width 1:
+ *    the same source that run_batch instantiates at width 4 and 8.
  *
  *  - run_batch() shards independent packets across the persistent
  *    work-stealing executor (core/executor.h) with one Workspace per
@@ -40,8 +40,6 @@
 #define ROBOSHAPE_ACCEL_SIM_ENGINE_H
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -123,6 +121,10 @@ struct EngineOp
     std::uint32_t path_begin = 0, path_end = 0; ///< Into root_paths_.
 };
 
+/** Chrome-trace span name of an op kind (static storage); shared by the
+ *  engine and the lane kernels so every width records the same names. */
+const char *engine_op_name(EngineOp::Kind k) noexcept;
+
 class SimEngine
 {
   public:
@@ -137,29 +139,24 @@ class SimEngine
 
       private:
         friend class SimEngine;
+        // Gradient kernel: the lane workspace, grown on first use to the
+        // widest group run through it (1 for run(), W inside run_batch).
+        simd::LaneWorkspace lanes;
+        // Mass-matrix and kinematics kernels.
         std::vector<spatial::SpatialTransform> xup;
-        // Gradient kernel.
-        std::vector<spatial::SpatialVector> v, a, f;
-        std::vector<spatial::SpatialVector> dv, da, df;
-        // Mass-matrix kernel.
         std::vector<spatial::SpatialInertia> ic_children, ic_total;
         std::vector<spatial::SpatialVector> f_walk;
-        // Kinematics kernel.
         std::vector<spatial::SpatialVector> carry;
-        // Blocked-multiply scratch.
-        linalg::BlockPattern pa, pb;
     };
 
     /**
      * Per-worker workspaces for run_batch; grown lazily, then reused.
-     * `per_thread` serves the scalar shard path (and the lane path's tail
-     * packets); `lanes` holds one SoA lane workspace per worker for the
-     * SIMD group path (left empty when dispatch picks the scalar backend).
+     * Worker t runs its packets, or its SIMD lane groups, in per_thread[t];
+     * the lane path's tail packets run in per_thread[0].
      */
     struct BatchWorkspace
     {
         std::vector<Workspace> per_thread;
-        std::vector<simd::LaneWorkspace> lanes;
     };
 
     /**
@@ -201,10 +198,10 @@ class SimEngine
      *
      * Dynamics-gradient engines additionally route full groups of W
      * consecutive packets through the W-wide SIMD lane backend chosen by
-     * simd::lane_backend() (the trailing < W packets run scalar).  Under
-     * the exactness policy of accel/simd_lanes.h this changes no output
-     * bit; set ROBOSHAPE_SIMD=off (or build with -DROBOSHAPE_SIMD=OFF) to
-     * force the scalar path.
+     * simd::lane_backend() (the trailing < W packets run through run()).
+     * The lane kernel is one source at every width, so this changes no
+     * output bit; set ROBOSHAPE_SIMD=off (or build with
+     * -DROBOSHAPE_SIMD=OFF) to force the one-packet-at-a-time path.
      *
      * @param threads worker count; 0 defers to ROBOSHAPE_THREADS (or the
      *        deprecated ROBOSHAPE_SWEEP_THREADS alias) / hardware
@@ -214,21 +211,8 @@ class SimEngine
                    std::span<EngineResult> out, BatchWorkspace &ws,
                    std::size_t threads = 0) const;
 
-    /**
-     * Convenience run_batch backed by a lazily-grown engine-owned
-     * BatchWorkspace (serialized by a mutex — concurrent callers queue;
-     * pass your own workspace to overlap batches).  Warm calls perform
-     * zero heap allocations, same as the explicit-workspace form.
-     */
-    void run_batch(std::span<const InputPacket> in,
-                   std::span<EngineResult> out,
-                   std::size_t threads = 0) const;
-
   private:
     using Op = EngineOp;
-
-    /** Chrome-trace span name for a per-op wall span (static storage). */
-    static const char *op_name(Op::Kind k) noexcept;
 
     void compile_gradient(const std::vector<const sched::Placement *> &ops);
     void compile_mass_matrix(
@@ -243,8 +227,11 @@ class SimEngine
                          std::span<EngineResult> out, BatchWorkspace &ws,
                          const simd::LaneBackend &backend,
                          std::size_t threads) const;
-    void run_gradient(Workspace &ws, const InputPacket &in,
-                      EngineResult &out) const;
+    /** Marshals @p width validated gradient packets into @p lw, runs
+     *  @p kernel over them and scatters the results into @p out. */
+    void run_gradient_group(simd::GradientLaneFn kernel, std::size_t width,
+                            const InputPacket *in, simd::LaneWorkspace &lw,
+                            EngineResult *out) const;
     void run_mass_matrix(Workspace &ws, const InputPacket &in,
                          EngineResult &out) const;
     void run_kinematics(Workspace &ws, const InputPacket &in,
@@ -262,17 +249,6 @@ class SimEngine
     std::vector<std::int32_t> root_paths_;
     /** Constant per-link motion subspaces S_i. */
     std::vector<spatial::SpatialVector> s_;
-
-    /** Backing store of the convenience run_batch overload.  Held through
-     *  unique_ptr so the mutex does not pin the engine in place (SimEngine
-     *  stays movable). */
-    struct ConvenienceWorkspace
-    {
-        std::mutex mutex;
-        BatchWorkspace ws;
-    };
-    std::unique_ptr<ConvenienceWorkspace> convenience_ws_ =
-        std::make_unique<ConvenienceWorkspace>();
 };
 
 } // namespace accel

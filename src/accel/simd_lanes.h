@@ -3,38 +3,41 @@
  * SIMD batch lanes for the compiled simulation engine (docs/SIM_ENGINE.md
  * § "SIMD batch lanes").
  *
- * SimEngine::run_batch streams many independent InputPackets through one
- * compiled op trace.  The trace is *uniform* across packets — which ops
- * run, in which order, reading which links — only the floating-point data
- * differs.  That is textbook data-level parallelism: this layer re-lays a
- * group of W packets out as structure-of-arrays ("lane-major": the W
- * copies of each scalar quantity sit contiguously, 64-byte aligned) and
- * executes every compiled op once for all W packets with W-wide vector
- * arithmetic.
+ * SimEngine streams independent InputPackets through one compiled op
+ * trace.  The trace is *uniform* across packets — which ops run, in which
+ * order, reading which links — only the floating-point data differs.  That
+ * is textbook data-level parallelism: this layer re-lays a group of W
+ * packets out as structure-of-arrays ("lane-major": the W copies of each
+ * scalar quantity sit contiguously, 64-byte aligned) and executes every
+ * compiled op once for all W packets with W-wide vector arithmetic.
+ *
+ * One kernel source (simd_lanes_impl.inl) is instantiated at W = 1 (the
+ * interpreter behind SimEngine::run and run_batch's tail packets, built in
+ * every configuration), W = 4 (generic, AVX2) and W = 8 (AVX-512).
  *
  * Exactness policy (the part that makes this safe to deploy):
  *
- *  - The lane kernels mirror the scalar interpreter's expression trees
- *    operation for operation — same multiplies, same adds, same
- *    association order, evaluated per lane by IEEE-754 vector instructions
- *    that round exactly like their scalar counterparts.  The lane TUs are
- *    compiled with -ffp-contract=off so the compiler cannot fuse a*b+c
- *    into an FMA (which would change rounding).  Under this policy lane
- *    results are BIT-IDENTICAL to the scalar path, packet for packet, and
- *    the tests/gates assert exactly that (0 ulp).
+ *  - The kernel evaluates the legacy simulator's expression trees
+ *    (accel::simulate) operation for operation — same multiplies, same
+ *    adds, same association order, evaluated per lane by IEEE-754 vector
+ *    instructions that round exactly like their scalar counterparts.  Every
+ *    kernel TU is compiled with -ffp-contract=off so the compiler cannot
+ *    fuse a*b+c into an FMA (which would change rounding).  Under this
+ *    policy every width is BIT-IDENTICAL to legacy simulate(), packet for
+ *    packet, and the tests/gates assert exactly that (0 ulp).
  *
  *  - Any future relaxation (e.g. enabling FMA in the lane kernels) must
  *    raise the documented ulp bound in bench/sim_throughput's lane gate
- *    and docs/SIM_ENGINE.md in the same change.  The scalar path is and
- *    stays the byte-exact reference against the legacy simulators.
+ *    and docs/SIM_ENGINE.md in the same change.  Legacy simulate() is and
+ *    stays the byte-exact reference.
  *
  * Backend selection is a one-time runtime dispatch: AVX-512 (8 lanes) when
- * the CPU has it, else AVX2 (4 lanes), else the plain scalar path.  A
- * "generic" 4-lane backend compiled without any ISA flags exists for tests
- * and non-x86 hosts.  The ROBOSHAPE_SIMD environment variable
- * (off|scalar|generic|avx2|avx512|auto) overrides detection; building with
- * -DROBOSHAPE_SIMD=OFF (CMake) compiles the lane kernels out entirely and
- * run_batch always takes the scalar path.
+ * the CPU has it, else AVX2 (4 lanes), else scalar (one packet at a time
+ * through the W = 1 kernel).  A "generic" 4-lane backend compiled without
+ * any ISA flags exists for tests and non-x86 hosts.  The ROBOSHAPE_SIMD
+ * environment variable (off|scalar|generic|avx2|avx512|auto) overrides
+ * detection; building with -DROBOSHAPE_SIMD=OFF (CMake) compiles the wide
+ * kernels out entirely and run_batch always takes the scalar path.
  */
 
 #ifndef ROBOSHAPE_ACCEL_SIMD_LANES_H
@@ -74,8 +77,8 @@ inline constexpr std::size_t kLaneAlign = 64;
 /**
  * Grow-only 64-byte-aligned double buffer.  resize() only reallocates
  * when capacity is insufficient, so a warm lane workspace performs zero
- * heap allocations — the same steady-state guarantee as the scalar
- * Workspace.  Contents after resize() are unspecified; the kernels
+ * heap allocations — the same steady-state guarantee as
+ * SimEngine::Workspace.  Contents after resize() are unspecified; the kernels
  * overwrite or zero-fill what they read.
  */
 class AlignedBuffer
@@ -122,10 +125,9 @@ struct LaneStats
  * Structure-of-arrays state for one lane group of W packets.  Every buffer
  * is lane-major: the scalar quantity with flat index k for lane l lives at
  * data()[k * W + l], so one W-wide vector load reads quantity k for every
- * packet of the group at once.  Flat indices follow the scalar Workspace:
- * per-link spatial vectors use k = link*6 + component, per-column
- * derivative states k = (column*n + link)*6 + component, matrices
- * k = row*cols + col.
+ * packet of the group at once.  Flat indices: per-link spatial vectors use
+ * k = link*6 + component, per-column derivative states
+ * k = (column*n + link)*6 + component, matrices k = row*cols + col.
  *
  * Buffers are grown by marshal_gradient_group() and reused forever after
  * (allocation-free once warm).  One LaneWorkspace may be used by one
@@ -139,7 +141,7 @@ struct LaneWorkspace
     AlignedBuffer minv;       ///< Host M^-1, n*n x W.
     AlignedBuffer xup_e;      ///< Joint transform rotations, n*9 x W.
     AlignedBuffer xup_r;      ///< Joint transform translations, n*3 x W.
-    // Interpreter state (mirrors SimEngine::Workspace).
+    // Interpreter state.
     AlignedBuffer v, a, f;    ///< n*6 x W each.
     AlignedBuffer dv, da, df; ///< n*n*6 x W each.
     // Outputs, demarshaled into EngineResults after the kernel runs.
@@ -175,8 +177,8 @@ using GradientLaneFn = void (*)(const GradientTraceView &, LaneWorkspace &);
 
 /**
  * One selectable lane backend.  width == 1 (gradient == nullptr) is the
- * scalar fallback: run_batch executes packets one at a time through the
- * reference interpreter.
+ * scalar fallback: run_batch executes packets one at a time through
+ * SimEngine::run, i.e. the W = 1 kernel.
  */
 struct LaneBackend
 {
@@ -219,15 +221,17 @@ void marshal_gradient_group(const topology::RobotModel &model,
 
 /**
  * Scatters one executed lane group back into per-packet EngineResults,
- * sizing result fields exactly like the scalar path.  @p tasks is the
- * engine's trace length (position + velocity passes).
+ * sizing their gradient fields on first use.  @p tasks is the engine's
+ * trace length (position + velocity passes).
  */
 void demarshal_gradient_group(std::size_t n, std::size_t width,
                               std::size_t tasks, const LaneWorkspace &ws,
                               EngineResult *out);
 
-// Per-ISA kernel entry points (defined in simd_lanes_<isa>.cc; only the
-// ones compiled into this build are referenced by the dispatcher).
+// Kernel entry points, one per width/ISA (defined in simd_lanes_<isa>.cc).
+// The 1-wide kernel is compiled into every build; of the others, only the
+// ones compiled into this build are referenced by the dispatcher.
+void run_gradient_lanes_scalar(const GradientTraceView &, LaneWorkspace &);
 void run_gradient_lanes_generic(const GradientTraceView &, LaneWorkspace &);
 void run_gradient_lanes_avx2(const GradientTraceView &, LaneWorkspace &);
 void run_gradient_lanes_avx512(const GradientTraceView &, LaneWorkspace &);

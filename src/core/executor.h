@@ -121,8 +121,7 @@ class Executor
     /**
      * Width a region over @p count tasks runs at: @p requested when
      * nonzero, else worker_count(); always clamped to [1, count] and
-     * kMaxExecutorLanes.  The exact successor of the old
-     * `sweep_worker_count` contract.
+     * kMaxExecutorLanes.
      */
     std::size_t resolve_width(std::size_t count,
                               std::size_t requested = 0) const;

@@ -8,7 +8,7 @@
 #include <cassert>
 #include <limits>
 
-#include "core/parallel.h"
+#include "core/executor.h"
 #include "obs/registry.h"
 
 namespace {
@@ -129,7 +129,7 @@ SweepContext::precompute_stage_schedules(std::size_t threads)
     // (DesignSpace::sweep no longer calls this — it folds the same jobs
     // into its composition job graph — but standalone contexts still use
     // it to make the lazy accessors concurrency-safe in one call.)
-    parallel_for(
+    Executor::instance().parallel_for(
         2 * n + mm_jobs,
         [this, n](std::size_t job) {
             if (job < n)

@@ -23,18 +23,9 @@ div_round_up(std::size_t a, std::size_t b)
 
 BlockPattern::BlockPattern(const Matrix &m, std::size_t block_size,
                            double tol)
-{
-    analyze(m, block_size, tol);
-}
-
-void
-BlockPattern::analyze(const Matrix &m, std::size_t block_size, double tol)
+    : block_size_(block_size), rows_(m.rows()), cols_(m.cols())
 {
     assert(block_size > 0);
-    block_size_ = block_size;
-    rows_ = m.rows();
-    cols_ = m.cols();
-    padded_zeros_ = 0;
     block_rows_ = div_round_up(rows_, block_size_);
     block_cols_ = div_round_up(cols_, block_size_);
     mask_.assign(block_rows_ * block_cols_, false);
@@ -87,27 +78,11 @@ Matrix
 blocked_multiply(const Matrix &a, const Matrix &b, std::size_t block_size,
                  BlockMultiplyStats *stats, double tol)
 {
-    Matrix out;
-    BlockPattern pa, pb;
-    blocked_multiply_into(a, b, block_size, out, pa, pb, /*negate=*/false,
-                          stats, tol);
-    return out;
-}
-
-void
-blocked_multiply_into(const Matrix &a, const Matrix &b,
-                      std::size_t block_size, Matrix &out, BlockPattern &pa,
-                      BlockPattern &pb, bool negate,
-                      BlockMultiplyStats *stats, double tol)
-{
     assert(a.cols() == b.rows());
-    pa.analyze(a, block_size, tol);
-    pb.analyze(b, block_size, tol);
+    const BlockPattern pa(a, block_size, tol);
+    const BlockPattern pb(b, block_size, tol);
 
-    if (out.rows() == a.rows() && out.cols() == b.cols())
-        out.set_zero();
-    else
-        out.resize(a.rows(), b.cols());
+    Matrix out(a.rows(), b.cols());
     BlockMultiplyStats local;
 
     const std::size_t bi_end = pa.block_rows();
@@ -131,7 +106,7 @@ blocked_multiply_into(const Matrix &a, const Matrix &b,
                 const std::size_t k1 = std::min(k0 + block_size, a.cols());
                 for (std::size_t i = r0; i < r1; ++i) {
                     for (std::size_t k = k0; k < k1; ++k) {
-                        const double av = negate ? -a(i, k) : a(i, k);
+                        const double av = a(i, k);
                         for (std::size_t j = c0; j < c1; ++j) {
                             out(i, j) += av * b(k, j);
                             ++local.scalar_macs;
@@ -144,6 +119,7 @@ blocked_multiply_into(const Matrix &a, const Matrix &b,
 
     if (stats)
         *stats = local;
+    return out;
 }
 
 } // namespace linalg

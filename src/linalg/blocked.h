@@ -31,21 +31,11 @@ namespace linalg {
 class BlockPattern
 {
   public:
-    /** Creates an empty pattern; analyze() before any query. */
-    BlockPattern() = default;
-
     /**
      * Analyzes @p m with square tiles of @p block_size.
      * @param tol magnitude at or below which an element counts as zero.
      */
     BlockPattern(const Matrix &m, std::size_t block_size, double tol = 0.0);
-
-    /**
-     * Re-analyzes @p m in place, reusing the mask storage.  When the tile
-     * grid shape is unchanged from the previous analysis (the steady state
-     * of a warm simulation engine) this performs no heap allocation.
-     */
-    void analyze(const Matrix &m, std::size_t block_size, double tol = 0.0);
 
     /** Tile edge length in elements. */
     std::size_t block_size() const { return block_size_; }
@@ -125,25 +115,6 @@ Matrix blocked_multiply(const Matrix &a, const Matrix &b,
                         std::size_t block_size,
                         BlockMultiplyStats *stats = nullptr,
                         double tol = 0.0);
-
-/**
- * Allocation-free form of blocked_multiply for compile-once/run-many
- * engines: writes A * B (or -(A * B) when @p negate is set) into @p out
- * and reuses the caller's pattern scratch @p pa / @p pb.  After a warm-up
- * call with the same dimensions, no heap allocation is performed.
- *
- * The result is exactly the value blocked_multiply would return, negated
- * elementwise when requested — accumulating negated tile products is an
- * exact sign flip under IEEE round-to-nearest, so fusing the negation
- * loses no precision (the legacy `blocked_multiply(...) * -1.0` spelling
- * stays the golden reference in tests).
- */
-void blocked_multiply_into(const Matrix &a, const Matrix &b,
-                           std::size_t block_size, Matrix &out,
-                           BlockPattern &pa, BlockPattern &pb,
-                           bool negate = false,
-                           BlockMultiplyStats *stats = nullptr,
-                           double tol = 0.0);
 
 } // namespace linalg
 } // namespace roboshape

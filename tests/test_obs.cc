@@ -16,6 +16,7 @@
 
 #include "accel/design.h"
 #include "accel/sim_engine.h"
+#include "accel/simd_lanes.h"
 #include "core/sweep_context.h"
 #include "dynamics/fd_derivatives.h"
 #include "dynamics/robot_state.h"
@@ -510,6 +511,61 @@ TEST(WallTrace, SimEngineEmitsPhaseSpans)
     }
     EXPECT_TRUE(marshal && position && velocity && mm);
     EXPECT_EQ(ops, out.tasks_executed);
+#else
+    EXPECT_TRUE(spans.empty());
+#endif
+}
+
+// run_batch records the same spans as run(), once per lane group: a batch
+// of exactly one group (lane_backend().width packets) yields each phase
+// span once and one op span per trace op.  On the scalar backend the group
+// is a single packet run through run().
+TEST(WallTrace, RunBatchEmitsSpansPerLaneGroup)
+{
+    const RobotModel model = build_robot(RobotId::kIiwa);
+    const topology::TopologyInfo topo(model);
+    const accel::AcceleratorDesign design(model, {7, 7, 7});
+    const accel::SimEngine engine(design);
+
+    const std::size_t width = accel::simd::lane_backend().width;
+    std::vector<dynamics::RobotState> states;
+    std::vector<dynamics::ForwardDynamicsGradients> refs;
+    for (std::size_t i = 0; i < width; ++i) {
+        states.push_back(
+            dynamics::random_state(model, 40 + static_cast<int>(i)));
+        refs.push_back(dynamics::forward_dynamics_gradients(
+            model, topo, states[i].q, states[i].qd, states[i].tau));
+    }
+    std::vector<accel::InputPacket> packets;
+    for (std::size_t i = 0; i < width; ++i)
+        packets.push_back({&states[i].q, &states[i].qd, &refs[i].qdd,
+                           &refs[i].mass_inv});
+    std::vector<accel::EngineResult> out(width);
+    accel::SimEngine::BatchWorkspace batch;
+
+    set_wall_trace_enabled(true);
+    clear_wall_trace();
+    engine.run_batch(packets, out, batch, 1);
+    const auto spans = wall_trace_spans();
+    set_wall_trace_enabled(false);
+    clear_wall_trace();
+
+#ifndef ROBOSHAPE_NO_OBS
+    std::size_t marshal = 0, position = 0, velocity = 0, mm = 0, ops = 0;
+    for (const WallSpan &s : spans) {
+        const std::string name = s.name;
+        marshal += name == "sim.marshal";
+        position += name == "sim.position_pass";
+        velocity += name == "sim.velocity_pass";
+        mm += name == "sim.mm_solve";
+        ops += std::string(s.category) == "op";
+        EXPECT_LE(s.t0_ns, s.t1_ns);
+    }
+    EXPECT_EQ(marshal, 1u);
+    EXPECT_EQ(position, 1u);
+    EXPECT_EQ(velocity, 1u);
+    EXPECT_EQ(mm, 1u);
+    EXPECT_EQ(ops, engine.trace_length());
 #else
     EXPECT_TRUE(spans.empty());
 #endif

@@ -455,9 +455,9 @@ TEST(SimEngineAllocations, WarmRunsAreAllocationFree)
     }
 }
 
-// Batch fixtures shared by the two warm-batch tests: 13 gradient packets
-// (on a lane build that is full lane group(s) plus a scalar tail, so both
-// paths and the lane workspaces get warmed and checked).
+// Batch fixture of the warm-batch test: 13 gradient packets (on a lane
+// build that is full lane group(s) plus a W = 1 tail, so both paths and
+// the lane workspaces get warmed and checked).
 struct BatchFixture
 {
     RobotModel m = build_robot(RobotId::kIiwa);
@@ -498,25 +498,6 @@ TEST(SimEngineAllocations, WarmBatchesAreAllocationFree)
     alloc_counter_arm();
     engine.run_batch(fx.packets, out, ws, 1);
     engine.run_batch(fx.packets, out, ws, 1);
-    EXPECT_EQ(alloc_counter_read(), 0u);
-}
-
-// The convenience overload used to construct a throwaway BatchWorkspace
-// per call (reallocating every per-worker workspace each time); it now
-// reuses a lazily-grown engine-owned workspace, so it must meet the same
-// warm zero-allocation bar as the explicit-workspace form.
-TEST(SimEngineAllocations, WarmConvenienceBatchIsAllocationFree)
-{
-#if !ROBOSHAPE_COUNT_ALLOCS
-    GTEST_SKIP() << "allocation counting disabled under sanitizers";
-#endif
-    const BatchFixture fx(13);
-    const SimEngine engine(fx.design);
-    std::vector<EngineResult> out(fx.packets.size());
-    engine.run_batch(fx.packets, out, 1); // warm-up sizes everything
-    alloc_counter_arm();
-    engine.run_batch(fx.packets, out, 1);
-    engine.run_batch(fx.packets, out, 1);
     EXPECT_EQ(alloc_counter_read(), 0u);
 }
 

@@ -1,10 +1,12 @@
 /**
  * @file
  * SIMD batch-lane suite (accel/simd_lanes.h): backend dispatch behaves as
- * documented, and — the exactness policy — every compiled-in lane backend
- * produces results bit-identical to the scalar reference path, packet for
- * packet, at every batch size (especially tails that are not a multiple
- * of the lane width) and every thread count.
+ * documented, and — the exactness policy — every instantiation of the lane
+ * kernel (W = 1 through run() and batch tails, the generic, AVX2 and
+ * AVX-512 groups) produces results bit-identical to the legacy simulate(),
+ * an independently written interpreter, packet for packet, at every batch
+ * size (especially tails that are not a multiple of the lane width) and
+ * every thread count.
  *
  * On a -DROBOSHAPE_SIMD=OFF build (or a non-x86 host without the AVX
  * TUs) the backend list shrinks accordingly and the exactness loops run
@@ -16,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "accel/functional_sim.h"
 #include "accel/sim_engine.h"
 #include "accel/simd_lanes.h"
 #include "dynamics/fd_derivatives.h"
@@ -40,7 +43,8 @@ struct BackendGuard
     ~BackendGuard() { simd::set_lane_backend("auto"); }
 };
 
-/** Gradient batch inputs for @p count packets of robot @p id. */
+/** Gradient batch inputs for @p count packets of robot @p id, with the
+ *  legacy simulate() result of each packet as the expected output. */
 struct GradientBatch
 {
     RobotModel m;
@@ -49,6 +53,7 @@ struct GradientBatch
     std::vector<RobotState> states;
     std::vector<dynamics::ForwardDynamicsGradients> refs;
     std::vector<InputPacket> packets;
+    std::vector<SimResult> want;
 
     GradientBatch(RobotId id, std::size_t count, int seed)
         : m(build_robot(id)), topo(m), design(m, {4, 4, 4})
@@ -61,14 +66,20 @@ struct GradientBatch
             refs.push_back(dynamics::forward_dynamics_gradients(
                 m, topo, s.q, s.qd, s.tau));
         }
-        for (std::size_t i = 0; i < count; ++i)
+        for (std::size_t i = 0; i < count; ++i) {
             packets.push_back({&states[i].q, &states[i].qd, &refs[i].qdd,
                                &refs[i].mass_inv});
+            want.push_back(simulate(design, states[i].q, states[i].qd,
+                                    refs[i].qdd, refs[i].mass_inv));
+        }
     }
 };
 
+/** 0 ulp on every output (max |diff| == 0 admits only the sign of exact
+ *  zeros, which the legacy `* -1.0` and the fused negation may differ in)
+ *  and identical operation counts. */
 void
-expect_packet_exact(const EngineResult &got, const EngineResult &want,
+expect_packet_exact(const EngineResult &got, const SimResult &want,
                     const std::string &what)
 {
     EXPECT_EQ(linalg::max_abs_diff(got.tau, want.tau), 0.0) << what;
@@ -118,13 +129,14 @@ TEST(SimdLaneDispatch, SetBackendByNameAndRejectUnknown)
     EXPECT_TRUE(simd::set_lane_backend("auto"));
 }
 
-// --------------------------------------- lane-vs-scalar bit exactness ----
+// ------------------------------------- lane-vs-legacy bit exactness ----
 
-// The core tail-handling matrix: for every vector backend available on
-// this build + CPU, batch sizes around the lane width W (1, W-1, W, W+1,
-// a prime spanning multiple groups) must produce results identical to the
-// scalar path packet-for-packet, at every thread count.  "Identical"
-// is exact equality — the documented lane exactness policy is 0 ulp.
+// The core tail-handling matrix: for every backend available on this
+// build + CPU (scalar included: its packets run through the W = 1 kernel),
+// batch sizes around the lane width W (1, W-1, W, W+1, a prime spanning
+// multiple groups) must produce results identical to legacy simulate()
+// packet-for-packet, at every thread count.  "Identical" is exact
+// equality — the documented lane exactness policy is 0 ulp.
 TEST(SimdLaneExactness, TailSizesMatchScalarAtEveryThreadCount)
 {
     BackendGuard guard;
@@ -132,21 +144,14 @@ TEST(SimdLaneExactness, TailSizesMatchScalarAtEveryThreadCount)
         const GradientBatch fx(robot, 19, 400);
         const SimEngine engine(fx.design);
 
-        // Scalar reference, serial single-packet runs.
-        ASSERT_TRUE(simd::set_lane_backend("scalar"));
-        std::vector<EngineResult> want(fx.packets.size());
-        auto ws = engine.make_workspace();
-        for (std::size_t i = 0; i < fx.packets.size(); ++i)
-            engine.run(ws, fx.packets[i], want[i]);
-
         for (const simd::LaneBackend *b : simd::available_lane_backends()) {
-            if (b->gradient == nullptr)
-                continue;
             ASSERT_TRUE(simd::set_lane_backend(b->name));
             const std::size_t w = b->width;
             const std::size_t sizes[] = {1, w - 1, w, w + 1, 13, 19};
             for (const std::size_t count : sizes) {
                 ASSERT_LE(count, fx.packets.size());
+                if (count == 0)
+                    continue;
                 for (const std::size_t threads : {1u, 2u, 4u}) {
                     std::vector<EngineResult> got(count);
                     SimEngine::BatchWorkspace batch;
@@ -155,7 +160,7 @@ TEST(SimdLaneExactness, TailSizesMatchScalarAtEveryThreadCount)
                         threads);
                     for (std::size_t i = 0; i < count; ++i)
                         expect_packet_exact(
-                            got[i], want[i],
+                            got[i], fx.want[i],
                             std::string(b->name) + " packet " +
                                 std::to_string(i) + "/" +
                                 std::to_string(count) + " threads " +
@@ -168,22 +173,15 @@ TEST(SimdLaneExactness, TailSizesMatchScalarAtEveryThreadCount)
 
 // Reusing one BatchWorkspace across different batch sizes and backends
 // must not leak state between runs (buffers are grow-only and fully
-// rewritten per group).
+// rewritten per group, and a worker's lane workspace serves both its
+// W-wide groups and the W = 1 tail).
 TEST(SimdLaneExactness, WorkspaceReuseAcrossSizesStaysExact)
 {
     BackendGuard guard;
     const GradientBatch fx(RobotId::kBaxter, 17, 900);
     const SimEngine engine(fx.design);
 
-    ASSERT_TRUE(simd::set_lane_backend("scalar"));
-    std::vector<EngineResult> want(fx.packets.size());
-    auto ws = engine.make_workspace();
-    for (std::size_t i = 0; i < fx.packets.size(); ++i)
-        engine.run(ws, fx.packets[i], want[i]);
-
     for (const simd::LaneBackend *b : simd::available_lane_backends()) {
-        if (b->gradient == nullptr)
-            continue;
         ASSERT_TRUE(simd::set_lane_backend(b->name));
         SimEngine::BatchWorkspace batch;
         std::vector<EngineResult> got(fx.packets.size());
@@ -193,7 +191,7 @@ TEST(SimdLaneExactness, WorkspaceReuseAcrossSizesStaysExact)
             engine.run_batch(std::span(fx.packets).first(count),
                              std::span(got).first(count), batch, 1);
             for (std::size_t i = 0; i < count; ++i)
-                expect_packet_exact(got[i], want[i],
+                expect_packet_exact(got[i], fx.want[i],
                                     std::string(b->name) + " size " +
                                         std::to_string(count) + " packet " +
                                         std::to_string(i));
@@ -201,25 +199,29 @@ TEST(SimdLaneExactness, WorkspaceReuseAcrossSizesStaysExact)
     }
 }
 
-// Forcing the scalar backend must take the legacy shard path even for
-// wide batches (this is what ROBOSHAPE_SIMD=off guarantees at runtime).
+// Forcing the scalar backend must take the one-packet-at-a-time shard
+// path even for wide batches (this is what ROBOSHAPE_SIMD=off guarantees
+// at runtime), and run() must match legacy on its own.
 TEST(SimdLaneExactness, ForcedScalarWideBatchMatches)
 {
     BackendGuard guard;
     const GradientBatch fx(RobotId::kIiwa, 16, 1300);
     const SimEngine engine(fx.design);
 
-    std::vector<EngineResult> want(fx.packets.size());
     auto ws = engine.make_workspace();
-    for (std::size_t i = 0; i < fx.packets.size(); ++i)
-        engine.run(ws, fx.packets[i], want[i]);
+    for (std::size_t i = 0; i < fx.packets.size(); ++i) {
+        EngineResult got;
+        engine.run(ws, fx.packets[i], got);
+        expect_packet_exact(got, fx.want[i],
+                            "run() packet " + std::to_string(i));
+    }
 
     ASSERT_TRUE(simd::set_lane_backend("off"));
     std::vector<EngineResult> got(fx.packets.size());
     SimEngine::BatchWorkspace batch;
     engine.run_batch(fx.packets, got, batch, 2);
     for (std::size_t i = 0; i < fx.packets.size(); ++i)
-        expect_packet_exact(got[i], want[i],
+        expect_packet_exact(got[i], fx.want[i],
                             "forced-scalar packet " + std::to_string(i));
 }
 
