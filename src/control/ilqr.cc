@@ -8,10 +8,10 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
 
 #include "dynamics/aba.h"
 #include "dynamics/fd_derivatives.h"
-#include "linalg/factorization.h"
 
 namespace roboshape {
 namespace control {
@@ -117,108 +117,6 @@ terminal_cost(const IlqrProblem &p, const Vector &x)
     return value;
 }
 
-/** Storage of the Riccati backward pass, sized once per solve so that
- *  its knot loop allocates nothing. */
-struct RiccatiWorkspace
-{
-    explicit RiccatiWorkspace(std::size_t n)
-        : vx(2 * n), qx(2 * n), qu(n), vxx(2 * n, 2 * n),
-          at_vxx(2 * n, 2 * n), bt_vxx(n, 2 * n), qxx(2 * n, 2 * n),
-          quu(n, n), qux(n, 2 * n), gains(n, 2 * n + 1),
-          quu_ldlt(Matrix::identity(n))
-    {
-    }
-
-    Vector vx, qx, qu;
-    Matrix vxx, at_vxx, bt_vxx, qxx, quu, qux;
-    /** [Qu | Qux], solved in place into Quu^-1 [Qu | Qux]. */
-    Matrix gains;
-    /** Refactorized at every knot; built on the identity so that its
-     *  storage is already n x n. */
-    linalg::Ldlt quu_ldlt;
-};
-
-/**
- * Regularized Riccati backward pass over the linearized horizon: writes
- * the feedforward @p ff and feedback @p gain of every knot.  False when
- * Quu is not positive definite at some knot under regularization @p mu.
- *
- * A^T Vxx and B^T Vxx (= (Vxx A)^T and (Vxx B)^T, Vxx being symmetric)
- * are formed once per knot and shared by Qxx = lxx + (A^T Vxx) A,
- * Quu = luu + (B^T Vxx) B + mu I and Qux = (B^T Vxx) A, so for a given
- * value function the Q terms and gains are bit-identical to the textbook
- * products.  [k | K] = -Quu^-1 [Qu | Qux] is one multi-right-hand-side
- * solve.  The value update Vx = Qx + Qux^T k, Vxx = Qxx + Qux^T K is the
- * four-term form Qx + K^T Quu k + K^T Qu + Qux^T k (likewise for Vxx)
- * with the terms that cancel removed, exactly because the gains solve
- * the same regularized Quu; dropping them also drops their rounding.
- */
-bool
-backward_pass(const IlqrProblem &p, const std::vector<Vector> &states,
-              const std::vector<Vector> &controls,
-              const std::vector<Matrix> &a, const std::vector<Matrix> &b,
-              double mu, RiccatiWorkspace &ws, std::vector<Vector> &ff,
-              std::vector<Matrix> &gain)
-{
-    const std::size_t n = p.q_goal.size();
-    const std::size_t horizon = controls.size();
-    const Vector &xt = states[horizon];
-    ws.vxx.set_zero();
-    for (std::size_t i = 0; i < n; ++i) {
-        ws.vx[i] = p.w_terminal * (xt[i] - p.q_goal[i]);
-        ws.vx[n + i] = p.w_qd * xt[n + i];
-        ws.vxx(i, i) = p.w_terminal;
-        ws.vxx(n + i, n + i) = p.w_qd;
-    }
-    // lint: warm-path begin
-    for (std::size_t kk = horizon; kk-- > 0;) {
-        const Vector &x = states[kk];
-        const Vector &u = controls[kk];
-        linalg::transposed_multiply_into(a[kk], ws.vxx, ws.at_vxx);
-        linalg::transposed_multiply_into(b[kk], ws.vxx, ws.bt_vxx);
-        linalg::transposed_multiply_into(a[kk], ws.vx, ws.qx);
-        linalg::transposed_multiply_into(b[kk], ws.vx, ws.qu);
-        linalg::multiply_into(ws.at_vxx, a[kk], ws.qxx);
-        linalg::multiply_into(ws.bt_vxx, b[kk], ws.quu);
-        linalg::multiply_into(ws.bt_vxx, a[kk], ws.qux);
-        for (std::size_t i = 0; i < n; ++i) {
-            ws.qx[i] += p.w_q * (x[i] - p.q_goal[i]);
-            ws.qx[n + i] += p.w_qd * x[n + i];
-            ws.qu[i] += p.w_u * u[i];
-            ws.qxx(i, i) += p.w_q;
-            ws.qxx(n + i, n + i) += p.w_qd;
-            ws.quu(i, i) += p.w_u;
-            ws.quu(i, i) += mu;
-        }
-        if (!ws.quu_ldlt.factorize(ws.quu))
-            return false;
-        for (std::size_t i = 0; i < n; ++i) {
-            ws.gains(i, 0) = ws.qu[i];
-            for (std::size_t j = 0; j < 2 * n; ++j)
-                ws.gains(i, 1 + j) = ws.qux(i, j);
-        }
-        ws.quu_ldlt.solve_in_place(ws.gains);
-        for (std::size_t i = 0; i < n; ++i) {
-            ff[kk][i] = -ws.gains(i, 0);
-            for (std::size_t j = 0; j < 2 * n; ++j)
-                gain[kk](i, j) = -ws.gains(i, 1 + j);
-        }
-        linalg::transposed_multiply_into(ws.qux, ff[kk], ws.vx);
-        ws.vx += ws.qx;
-        linalg::transposed_multiply_into(ws.qux, gain[kk], ws.vxx);
-        ws.vxx += ws.qxx;
-        // Symmetrize against numerical drift.
-        for (std::size_t i = 0; i < 2 * n; ++i)
-            for (std::size_t j = i + 1; j < 2 * n; ++j) {
-                const double sym = (ws.vxx(i, j) + ws.vxx(j, i)) * 0.5;
-                ws.vxx(i, j) = sym;
-                ws.vxx(j, i) = sym;
-            }
-    }
-    // lint: warm-path end
-    return true;
-}
-
 } // namespace
 
 void
@@ -257,6 +155,152 @@ discretize_gradients(const Matrix &dqdd_dq, const Matrix &dqdd_dqd,
     }
 }
 
+RiccatiWorkspace::Limb::Limb(std::size_t first, std::size_t links)
+    : begin(first), size(links), a(2 * links, 2 * links), b(2 * links, links),
+      vx(2 * links), qx(2 * links), qu(links), vxx(2 * links, 2 * links),
+      at_vxx(2 * links, 2 * links), bt_vxx(links, 2 * links),
+      qxx(2 * links, 2 * links), quu(links, links), qux(links, 2 * links),
+      rhs(links, 2 * links + 1), ff(links), gain(links, 2 * links),
+      quu_ldlt(Matrix::identity(links))
+{
+}
+
+RiccatiWorkspace::RiccatiWorkspace(std::span<const LimbSpan> spans)
+{
+    limbs_.reserve(spans.size());
+    for (const auto &[first, end] : spans) {
+        if (first != num_links_ || end <= first)
+            throw std::invalid_argument(
+                "RiccatiWorkspace: limb spans must tile [0, n) in order");
+        limbs_.emplace_back(first, end - first);
+        num_links_ = end;
+    }
+}
+
+/**
+ * Each limb runs the dense pass's sequence of linalg calls on its own
+ * blocks.  A^T Vxx and B^T Vxx (= (Vxx A)^T and (Vxx B)^T, Vxx being
+ * symmetric) are formed once per knot and shared by
+ * Qxx = lxx + (A^T Vxx) A, Quu = luu + (B^T Vxx) B + mu I and
+ * Qux = (B^T Vxx) A, so for a given value function the Q terms and gains
+ * are bit-identical to the textbook products.  [k | K] = -Quu^-1
+ * [Qu | Qux] is one multi-right-hand-side solve.  The value update
+ * Vx = Qx + Qux^T k, Vxx = Qxx + Qux^T K is the four-term form
+ * Qx + K^T Quu k + K^T Qu + Qux^T k (likewise for Vxx) with the terms
+ * that cancel removed, exactly because the gains solve the same
+ * regularized Quu; dropping them also drops their rounding.
+ *
+ * The split is exact, not an approximation: off the limb blocks A, B,
+ * the diagonal costs and hence Vxx, Qxx, Quu and Qux are exact zeros,
+ * and LDL^T of a block-diagonal Quu has no fill.  The products skip zero
+ * left-hand entries, and the vector products add the zero terms to sums
+ * that started at +0, where adding a zero changes nothing.  So every
+ * in-limb entry sums the same terms in the same order as the single
+ * span [0, n) (docs/ALGORITHMS.md).
+ */
+bool
+riccati_backward_pass(const IlqrProblem &p, const std::vector<Vector> &states,
+                      const std::vector<Vector> &controls,
+                      const std::vector<Matrix> &a,
+                      const std::vector<Matrix> &b, double mu,
+                      RiccatiWorkspace &ws, std::vector<Vector> &ff,
+                      std::vector<Matrix> &gain)
+{
+    const std::size_t n = ws.num_links();
+    const std::size_t horizon = controls.size();
+    bool sizes_ok = p.q_goal.size() == n && states.size() == horizon + 1 &&
+                    a.size() == horizon && b.size() == horizon &&
+                    ff.size() == horizon && gain.size() == horizon;
+    for (std::size_t kk = 0; sizes_ok && kk < horizon; ++kk)
+        sizes_ok = states[kk].size() == 2 * n && controls[kk].size() == n &&
+                   a[kk].rows() == 2 * n && a[kk].cols() == 2 * n &&
+                   b[kk].rows() == 2 * n && b[kk].cols() == n &&
+                   ff[kk].size() == n && gain[kk].rows() == n &&
+                   gain[kk].cols() == 2 * n;
+    if (!sizes_ok || states[horizon].size() != 2 * n)
+        throw std::invalid_argument(
+            "riccati_backward_pass: sizes do not match the workspace");
+
+    const Vector &xt = states[horizon];
+    for (RiccatiWorkspace::Limb &limb : ws.limbs_) {
+        const std::size_t m = limb.size;
+        limb.vxx.set_zero();
+        for (std::size_t i = 0; i < m; ++i) {
+            const std::size_t g = limb.begin + i;
+            limb.vx[i] = p.w_terminal * (xt[g] - p.q_goal[g]);
+            limb.vx[m + i] = p.w_qd * xt[n + g];
+            limb.vxx(i, i) = p.w_terminal;
+            limb.vxx(m + i, m + i) = p.w_qd;
+        }
+    }
+    // lint: warm-path begin
+    for (std::size_t kk = horizon; kk-- > 0;) {
+        const Vector &x = states[kk];
+        const Vector &u = controls[kk];
+        for (RiccatiWorkspace::Limb &limb : ws.limbs_) {
+            const std::size_t s = limb.begin;
+            const std::size_t m = limb.size;
+            // Global index of the limb's state r: q rows, then qd rows.
+            const auto state = [&](std::size_t r) {
+                return r < m ? s + r : n + s + (r - m);
+            };
+            for (std::size_t r = 0; r < 2 * m; ++r) {
+                for (std::size_t c = 0; c < 2 * m; ++c)
+                    limb.a(r, c) = a[kk](state(r), state(c));
+                for (std::size_t c = 0; c < m; ++c)
+                    limb.b(r, c) = b[kk](state(r), s + c);
+            }
+            linalg::transposed_multiply_into(limb.a, limb.vxx, limb.at_vxx);
+            linalg::transposed_multiply_into(limb.b, limb.vxx, limb.bt_vxx);
+            linalg::transposed_multiply_into(limb.a, limb.vx, limb.qx);
+            linalg::transposed_multiply_into(limb.b, limb.vx, limb.qu);
+            linalg::multiply_into(limb.at_vxx, limb.a, limb.qxx);
+            linalg::multiply_into(limb.bt_vxx, limb.b, limb.quu);
+            linalg::multiply_into(limb.bt_vxx, limb.a, limb.qux);
+            for (std::size_t i = 0; i < m; ++i) {
+                const std::size_t g = s + i;
+                limb.qx[i] += p.w_q * (x[g] - p.q_goal[g]);
+                limb.qx[m + i] += p.w_qd * x[n + g];
+                limb.qu[i] += p.w_u * u[g];
+                limb.qxx(i, i) += p.w_q;
+                limb.qxx(m + i, m + i) += p.w_qd;
+                limb.quu(i, i) += p.w_u;
+                limb.quu(i, i) += mu;
+            }
+            if (!limb.quu_ldlt.factorize(limb.quu))
+                return false;
+            for (std::size_t i = 0; i < m; ++i) {
+                limb.rhs(i, 0) = limb.qu[i];
+                for (std::size_t j = 0; j < 2 * m; ++j)
+                    limb.rhs(i, 1 + j) = limb.qux(i, j);
+            }
+            limb.quu_ldlt.solve_in_place(limb.rhs);
+            for (std::size_t i = 0; i < m; ++i) {
+                limb.ff[i] = -limb.rhs(i, 0);
+                ff[kk][s + i] = limb.ff[i];
+                for (std::size_t j = 0; j < 2 * m; ++j) {
+                    limb.gain(i, j) = -limb.rhs(i, 1 + j);
+                    gain[kk](s + i, state(j)) = limb.gain(i, j);
+                }
+            }
+            linalg::transposed_multiply_into(limb.qux, limb.ff, limb.vx);
+            limb.vx += limb.qx;
+            linalg::transposed_multiply_into(limb.qux, limb.gain, limb.vxx);
+            limb.vxx += limb.qxx;
+            // Symmetrize against numerical drift.
+            for (std::size_t i = 0; i < 2 * m; ++i)
+                for (std::size_t j = i + 1; j < 2 * m; ++j) {
+                    const double sym =
+                        (limb.vxx(i, j) + limb.vxx(j, i)) * 0.5;
+                    limb.vxx(i, j) = sym;
+                    limb.vxx(j, i) = sym;
+                }
+        }
+    }
+    // lint: warm-path end
+    return true;
+}
+
 double
 trajectory_cost(const IlqrProblem &problem,
                 const std::vector<Vector> &states,
@@ -276,7 +320,15 @@ solve_ilqr(const topology::RobotModel &model,
 {
     const std::size_t n = model.num_links();
     const std::size_t horizon = problem.horizon;
-    assert(problem.q0.size() == n && problem.q_goal.size() == n);
+    if (problem.q0.size() != n || problem.qd0.size() != n ||
+        problem.q_goal.size() != n)
+        throw std::invalid_argument(
+            "solve_ilqr: q0, qd0 and q_goal need one entry per link");
+    if (topo.num_links() != n)
+        throw std::invalid_argument(
+            "solve_ilqr: the topology describes another robot");
+    if (!std::isfinite(problem.dt) || problem.dt <= 0.0)
+        throw std::invalid_argument("solve_ilqr: dt must be finite and > 0");
 
     IlqrResult result;
     const auto t_total = Clock::now();
@@ -306,7 +358,7 @@ solve_ilqr(const topology::RobotModel &model,
     std::vector<Matrix> a(horizon), b(horizon);
     std::vector<Vector> ff_k(horizon, Vector(n));
     std::vector<Matrix> gain_k(horizon, Matrix(n, 2 * n));
-    RiccatiWorkspace riccati(n);
+    RiccatiWorkspace riccati(topo.limb_spans());
 
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
         ++result.iterations;
@@ -323,8 +375,8 @@ solve_ilqr(const topology::RobotModel &model,
         // ---- Riccati backward pass ------------------------------------
         const auto t_backward = Clock::now();
         const bool backward_ok =
-            backward_pass(problem, result.states, result.controls, a, b, mu,
-                          riccati, ff_k, gain_k);
+            riccati_backward_pass(problem, result.states, result.controls, a,
+                                  b, mu, riccati, ff_k, gain_k);
         result.timing.backward_pass_us += us_since(t_backward);
         if (!backward_ok) {
             mu *= 10.0;

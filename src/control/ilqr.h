@@ -12,16 +12,19 @@
  * demonstrate what the accelerator buys end to end.
  *
  * Discrete-time formulation with state x = [q; qd], control u = tau,
- * semi-implicit Euler dynamics, quadratic tracking costs, regularized
- * Riccati backward pass, and a backtracking line search.
+ * semi-implicit Euler dynamics, quadratic tracking costs, a regularized
+ * Riccati backward pass that runs one recursion per limb of the robot,
+ * and a backtracking line search.
  */
 
 #ifndef ROBOSHAPE_CONTROL_ILQR_H
 #define ROBOSHAPE_CONTROL_ILQR_H
 
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "linalg/factorization.h"
 #include "linalg/matrix.h"
 #include "topology/robot_model.h"
 #include "topology/topology_info.h"
@@ -53,6 +56,14 @@ struct IlqrProblem
  * dynamics::forward_dynamics_gradients on the host;
  * control::AcceleratorLinearizer routes the same evaluation through the
  * compiled accelerator simulation engine.
+ *
+ * Contract: every linearization vanishes off the limb blocks.  Entries
+ * of A and B that couple two different limbs of
+ * topology::TopologyInfo::limb_spans() (a q or qd row of one limb
+ * against a q, qd or u column of another) are exact zeros, as they are
+ * for any robot on a fixed base: no dynamic coupling crosses it, so
+ * dqdd/dq, dqdd/dqd and M^-1 are block diagonal over the limbs.  The
+ * Riccati pass runs one recursion per limb on this premise.
  */
 class DynamicsLinearizer
 {
@@ -137,11 +148,93 @@ struct IlqrResult
     }
 };
 
+/** A [begin, end) range of link indices; TopologyInfo::limb_spans()
+ *  lists one per limb. */
+using LimbSpan = std::pair<std::size_t, std::size_t>;
+
+/**
+ * Storage of the Riccati backward pass: one block per limb span, sized
+ * for its limb once, so that riccati_backward_pass() allocates nothing.
+ */
+class RiccatiWorkspace
+{
+  public:
+    /**
+     * One block per entry of @p spans, which must tile [0, n) in
+     * ascending order (TopologyInfo::limb_spans() does); throws
+     * std::invalid_argument otherwise.  The single span [0, n) makes the
+     * pass one dense recursion over all links.
+     */
+    explicit RiccatiWorkspace(std::span<const LimbSpan> spans);
+
+    /** Links n covered by the spans. */
+    std::size_t num_links() const { return num_links_; }
+
+  private:
+    friend bool riccati_backward_pass(
+        const IlqrProblem &problem,
+        const std::vector<linalg::Vector> &states,
+        const std::vector<linalg::Vector> &controls,
+        const std::vector<linalg::Matrix> &a,
+        const std::vector<linalg::Matrix> &b, double mu,
+        RiccatiWorkspace &ws, std::vector<linalg::Vector> &ff,
+        std::vector<linalg::Matrix> &gain);
+
+    /** The recursion of one limb of m links.  Its 2m states are the
+     *  limb's q entries, then its qd entries, in ascending global order;
+     *  its m controls are its links. */
+    struct Limb
+    {
+        Limb(std::size_t first, std::size_t links);
+
+        std::size_t begin; ///< First link of the limb.
+        std::size_t size;  ///< Links m of the limb.
+        linalg::Matrix a, b; ///< The limb's blocks of A and B at a knot.
+        linalg::Vector vx, qx, qu;
+        linalg::Matrix vxx, at_vxx, bt_vxx, qxx, quu, qux;
+        /** [Qu | Qux], solved in place into Quu^-1 [Qu | Qux]. */
+        linalg::Matrix rhs;
+        linalg::Vector ff;   ///< The limb's k.
+        linalg::Matrix gain; ///< The limb's K.
+        /** Refactorized at every knot; built on the identity so that
+         *  its storage is already m x m. */
+        linalg::Ldlt quu_ldlt;
+    };
+
+    std::vector<Limb> limbs_;
+    std::size_t num_links_ = 0;
+};
+
+/**
+ * Regularized Riccati backward pass over a linearized horizon: from the
+ * linearization (@p a[k], @p b[k]) of every knot k at (@p states[k],
+ * @p controls[k]), writes its feedforward @p ff[k] and feedback
+ * @p gain[k].  Runs one recursion per limb span of @p ws and writes only
+ * the in-limb entries of ff and gain; the others keep the caller's
+ * values (zeros in solve_ilqr).  Under the DynamicsLinearizer contract
+ * every in-limb entry is the one the single span [0, n) computes.
+ * False when Quu is not positive definite at some knot under
+ * regularization @p mu.  Throws std::invalid_argument when a size does
+ * not match the workspace's n links.
+ */
+bool riccati_backward_pass(const IlqrProblem &problem,
+                           const std::vector<linalg::Vector> &states,
+                           const std::vector<linalg::Vector> &controls,
+                           const std::vector<linalg::Matrix> &a,
+                           const std::vector<linalg::Matrix> &b, double mu,
+                           RiccatiWorkspace &ws,
+                           std::vector<linalg::Vector> &ff,
+                           std::vector<linalg::Matrix> &gain);
+
 /**
  * Solves the tracking problem with iLQR.  The number of gradient
  * evaluations is horizon x iterations, one linearize_horizon() call per
  * iteration — the batched coprocessor pattern of paper Sec. 5.2.  The
- * Riccati backward pass runs in storage allocated once per solve.
+ * Riccati backward pass runs one recursion per limb of @p topo, in
+ * storage allocated once per solve.  Throws std::invalid_argument when
+ * q0, qd0 or q_goal do not have one entry per link of @p model, when
+ * @p topo describes a robot of another link count, or when dt is not
+ * finite and positive.
  */
 IlqrResult solve_ilqr(const topology::RobotModel &model,
                       const topology::TopologyInfo &topo,

@@ -7,13 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "accel/sim_engine.h"
 #include "accel/simd_lanes.h"
 #include "control/accel_linearizer.h"
 #include "control/ilqr.h"
 #include "dynamics/aba.h"
+#include "dynamics/fd_derivatives.h"
 #include "dynamics/robot_state.h"
 #include "topology/parametric_robots.h"
 #include "topology/robot_library.h"
@@ -143,6 +147,44 @@ TEST(Ilqr, CostFunctionMatchesManualSum)
     }
     // Terminal: exactly at goal with zero velocity -> zero.
     EXPECT_NEAR(trajectory_cost(p, xs, us), expected, 1e-12);
+}
+
+TEST(Ilqr, RejectsStartAndGoalSizesOtherThanTheModel)
+{
+    // A default-constructed qd0 used to be read out of bounds.
+    const RobotModel m = build_robot(RobotId::kHyq);
+    const TopologyInfo topo(m);
+    const IlqrProblem good = reach_problem(m, 0.3, 4);
+    IlqrProblem p = good;
+    p.qd0 = Vector();
+    EXPECT_THROW(solve_ilqr(m, topo, p), std::invalid_argument);
+    p = good;
+    p.q0 = Vector(m.num_links() + 1);
+    EXPECT_THROW(solve_ilqr(m, topo, p), std::invalid_argument);
+    p = good;
+    p.q_goal = Vector(m.num_links() - 1);
+    EXPECT_THROW(solve_ilqr(m, topo, p), std::invalid_argument);
+}
+
+TEST(Ilqr, RejectsTopologyOfAnotherRobot)
+{
+    const RobotModel m = build_robot(RobotId::kHyq);
+    const RobotModel other = build_robot(RobotId::kHyqWithArm);
+    const TopologyInfo other_topo(other);
+    EXPECT_THROW(solve_ilqr(m, other_topo, reach_problem(m, 0.3, 4)),
+                 std::invalid_argument);
+}
+
+TEST(Ilqr, RejectsNonFiniteOrNonPositiveStep)
+{
+    const RobotModel m = topology::make_serial_chain(2);
+    const TopologyInfo topo(m);
+    for (const double dt : {0.0, -0.01, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+        IlqrProblem p = reach_problem(m, 0.3, 4);
+        p.dt = dt;
+        EXPECT_THROW(solve_ilqr(m, topo, p), std::invalid_argument) << dt;
+    }
 }
 
 /** The fixed-work settings of the perfbench ilqr_stream solves: exactly
@@ -290,6 +332,162 @@ TEST(AcceleratorLinearizer, SolveMatchesHostLinearizerSolve)
             EXPECT_EQ(linearizer.calls(), accel.iterations * horizon) << what;
         }
     }
+}
+
+/** Limb index of every link of @p topo. */
+std::vector<std::size_t>
+limb_of_link(const TopologyInfo &topo)
+{
+    std::vector<std::size_t> limb(topo.num_links());
+    const auto &spans = topo.limb_spans();
+    for (std::size_t l = 0; l < spans.size(); ++l)
+        for (std::size_t i = spans[l].first; i < spans[l].second; ++i)
+            limb[i] = l;
+    return limb;
+}
+
+/** Expects every entry of @p g that couples two limbs to be exactly 0;
+ *  returns how many it checked. */
+std::size_t
+expect_zero_off_limbs(const Matrix &g, const std::vector<std::size_t> &limb,
+                      const std::string &what)
+{
+    std::size_t checked = 0;
+    for (std::size_t i = 0; i < g.rows(); ++i)
+        for (std::size_t j = 0; j < g.cols(); ++j)
+            if (limb[i] != limb[j]) {
+                ++checked;
+                EXPECT_EQ(g(i, j), 0.0) << what << " (" << i << ", " << j
+                                        << ")";
+            }
+    return checked;
+}
+
+TEST(LimbBlocks, GradientsVanishOffTheLimbBlocksLibraryWide)
+{
+    // The premise of the per-limb Riccati pass (the DynamicsLinearizer
+    // contract): no dynamic coupling crosses the fixed base, on the host
+    // library and on the engine alike.
+    std::vector<RobotId> robots = topology::all_robots();
+    for (const RobotId id : topology::extended_robots())
+        robots.push_back(id);
+    std::size_t checked = 0;
+    for (const RobotId id : robots) {
+        const RobotModel m = build_robot(id);
+        const TopologyInfo topo(m);
+        const std::vector<std::size_t> limb = limb_of_link(topo);
+        const accel::AcceleratorDesign gradient_design(m, {4, 4, 4});
+        const accel::AcceleratorDesign mass_design(
+            m, {3, 3, 1}, accel::default_timing(),
+            sched::KernelKind::kMassMatrix);
+        const accel::SimEngine gradient_engine(gradient_design);
+        const accel::SimEngine mass_engine(mass_design);
+        auto gradient_ws = gradient_engine.make_workspace();
+        auto mass_ws = mass_engine.make_workspace();
+        accel::EngineResult gradient_out, mass_out;
+        for (std::uint32_t seed = 0; seed < 20; ++seed) {
+            const dynamics::RobotState s = dynamics::random_state(m, seed);
+            const auto host = dynamics::forward_dynamics_gradients(
+                m, topo, s.q, s.qd, s.tau);
+            const std::string what =
+                m.name() + " seed " + std::to_string(seed);
+            checked += expect_zero_off_limbs(host.dqdd_dq, limb,
+                                             what + " host dqdd/dq");
+            checked += expect_zero_off_limbs(host.dqdd_dqd, limb,
+                                             what + " host dqdd/dqd");
+            checked += expect_zero_off_limbs(host.mass, limb,
+                                             what + " host M");
+            checked += expect_zero_off_limbs(host.mass_inv, limb,
+                                             what + " host M^-1");
+            gradient_engine.run(
+                gradient_ws,
+                accel::InputPacket{&s.q, &s.qd, &host.qdd, &host.mass_inv},
+                gradient_out);
+            checked += expect_zero_off_limbs(gradient_out.dqdd_dq, limb,
+                                             what + " engine dqdd/dq");
+            checked += expect_zero_off_limbs(gradient_out.dqdd_dqd, limb,
+                                             what + " engine dqdd/dqd");
+            mass_engine.run(mass_ws, accel::InputPacket{&s.q}, mass_out);
+            checked += expect_zero_off_limbs(mass_out.mass, limb,
+                                             what + " engine M");
+        }
+    }
+    // Every robot but the single-limb ones contributes.
+    EXPECT_GT(checked, 0u);
+}
+
+TEST(LimbBlocks, SplitRiccatiPassMatchesDensePassExactly)
+{
+    // At real iterates of branched robots, the per-limb recursion over
+    // topo.limb_spans() and the single span [0, n) (the dense pass) give
+    // equal gains and the same success flag.
+    for (const RobotId id :
+         {RobotId::kHyq, RobotId::kBaxter, RobotId::kHyqWithArm,
+          RobotId::kBittle, RobotId::kHumanoid}) {
+        const RobotModel m = build_robot(id);
+        const TopologyInfo topo(m);
+        const std::size_t n = m.num_links();
+        ASSERT_GT(topo.limb_spans().size(), 1u) << m.name();
+        const accel::AcceleratorDesign design(m, {4, 4, 4});
+        AcceleratorLinearizer linearizer(design);
+        const IlqrProblem problem = reach_problem(m, 0.3, 8);
+        RiccatiWorkspace split(topo.limb_spans());
+        const LimbSpan all[] = {{0, n}};
+        RiccatiWorkspace dense(all);
+        for (const std::size_t iterations : {0u, 1u, 3u}) {
+            IlqrOptions options = fixed_work_options();
+            options.max_iterations = iterations;
+            const IlqrResult r = solve_ilqr(m, topo, problem, options);
+            std::vector<Matrix> a(problem.horizon), b(problem.horizon);
+            linearizer.linearize_horizon(
+                std::span<const Vector>(r.states).first(problem.horizon),
+                r.controls, problem.dt, a, b);
+            // A negative regularization makes Quu indefinite: both passes
+            // must fail.
+            for (const double mu : {1e-6, 1e-2, -1e12}) {
+                std::vector<Vector> ff_split(problem.horizon, Vector(n));
+                std::vector<Vector> ff_dense = ff_split;
+                std::vector<Matrix> gain_split(problem.horizon,
+                                               Matrix(n, 2 * n));
+                std::vector<Matrix> gain_dense = gain_split;
+                const bool ok_split =
+                    riccati_backward_pass(problem, r.states, r.controls, a,
+                                          b, mu, split, ff_split, gain_split);
+                const bool ok_dense =
+                    riccati_backward_pass(problem, r.states, r.controls, a,
+                                          b, mu, dense, ff_dense, gain_dense);
+                const std::string what = m.name() + " iterate " +
+                                         std::to_string(iterations) +
+                                         " mu " + std::to_string(mu);
+                ASSERT_EQ(ok_split, ok_dense) << what;
+                EXPECT_EQ(ok_split, mu > 0.0) << what;
+                if (!ok_split)
+                    continue;
+                for (std::size_t k = 0; k < problem.horizon; ++k)
+                    for (std::size_t i = 0; i < n; ++i) {
+                        EXPECT_EQ(ff_split[k][i], ff_dense[k][i])
+                            << what << " knot " << k << " k " << i;
+                        for (std::size_t j = 0; j < 2 * n; ++j)
+                            EXPECT_EQ(gain_split[k](i, j),
+                                      gain_dense[k](i, j))
+                                << what << " knot " << k << " K(" << i
+                                << ", " << j << ")";
+                    }
+            }
+        }
+    }
+}
+
+TEST(LimbBlocks, WorkspaceRejectsSpansThatDoNotTileTheLinks)
+{
+    const LimbSpan gap[] = {{0, 3}, {4, 6}};
+    const LimbSpan late[] = {{1, 3}};
+    const LimbSpan empty[] = {{0, 3}, {3, 3}};
+    EXPECT_THROW(RiccatiWorkspace{gap}, std::invalid_argument);
+    EXPECT_THROW(RiccatiWorkspace{late}, std::invalid_argument);
+    EXPECT_THROW(RiccatiWorkspace{empty}, std::invalid_argument);
+    const LimbSpan ok[] = {{0, 3}, {3, 6}};
+    EXPECT_EQ(RiccatiWorkspace{ok}.num_links(), 6u);
 }
 
 } // namespace

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "linalg/blocked.h"
 #include "linalg/factorization.h"
 #include "linalg/matrix.h"
@@ -107,6 +112,114 @@ TEST(Matrix, InPlaceProductsMatchAllocatingForms)
     transposed_multiply_into(a, v, vout);
     ASSERT_EQ(vout.size(), 4u);
     EXPECT_EQ(max_abs_diff(vout, a.transposed() * v), 0.0);
+}
+
+/** Right-hand column counts that cover vector bodies and scalar tails. */
+constexpr std::size_t kKernelColumns[] = {1, 2, 3, 7, 8, 13, 31, 38};
+
+/** Equal sizes and equal bits in every element. */
+::testing::AssertionResult
+bitwise_equal(const std::vector<double> &got, const std::vector<double> &want)
+{
+    if (got.size() != want.size())
+        return ::testing::AssertionFailure()
+               << got.size() << " elements, want " << want.size();
+    for (std::size_t i = 0; i < got.size(); ++i)
+        if (std::bit_cast<std::uint64_t>(got[i]) !=
+            std::bit_cast<std::uint64_t>(want[i]))
+            return ::testing::AssertionFailure()
+                   << "element " << i << " is " << got[i] << ", want "
+                   << want[i];
+    return ::testing::AssertionSuccess();
+}
+
+/** A random matrix with a third of its entries zero, one of them -0. */
+Matrix
+random_matrix_with_zeros(std::size_t rows, std::size_t cols,
+                         std::uint32_t seed)
+{
+    Matrix m = random_matrix(rows, cols, seed);
+    for (std::size_t i = 0; i < rows; ++i)
+        for (std::size_t j = 0; j < cols; ++j)
+            if ((i + 2 * j) % 3 == 0)
+                m(i, j) = 0.0;
+    m(0, 0) = -0.0;
+    return m;
+}
+
+TEST(Matrix, InPlaceProductsMatchPlainLoopsBitwise)
+{
+    // References written out here, not the library's allocating forms
+    // (which call the same kernels): each sum starts at 0 and adds every
+    // term, zero or not, in ascending order.
+    for (const std::size_t cols : kKernelColumns) {
+        const std::string what = std::to_string(cols) + " columns";
+        const auto seed = static_cast<std::uint32_t>(cols);
+        const Matrix a = random_matrix_with_zeros(5, 9, seed);
+        const Matrix at = random_matrix_with_zeros(9, 5, seed + 1);
+        const Matrix b = random_matrix(9, cols, seed + 2);
+        const Matrix wide = random_matrix_with_zeros(9, cols, seed + 3);
+        const Vector v = random_vector(9, seed + 4);
+
+        Matrix want(5, cols), want_t(5, cols);
+        Vector want_v(cols);
+        for (std::size_t i = 0; i < 5; ++i)
+            for (std::size_t j = 0; j < cols; ++j) {
+                double acc = 0.0, acc_t = 0.0;
+                for (std::size_t k = 0; k < 9; ++k) {
+                    acc += a(i, k) * b(k, j);
+                    acc_t += at(k, i) * b(k, j);
+                }
+                want(i, j) = acc;
+                want_t(i, j) = acc_t;
+            }
+        for (std::size_t i = 0; i < cols; ++i) {
+            double acc = 0.0;
+            for (std::size_t k = 0; k < 9; ++k)
+                acc += wide(k, i) * v[k];
+            want_v[i] = acc;
+        }
+
+        Matrix out;
+        multiply_into(a, b, out);
+        EXPECT_EQ(out.rows(), 5u) << what;
+        EXPECT_TRUE(bitwise_equal(out.data(), want.data())) << what;
+        transposed_multiply_into(at, b, out);
+        EXPECT_EQ(out.rows(), 5u) << what;
+        EXPECT_TRUE(bitwise_equal(out.data(), want_t.data())) << what;
+        Vector vout;
+        transposed_multiply_into(wide, v, vout);
+        EXPECT_TRUE(bitwise_equal(vout.data(), want_v.data())) << what;
+    }
+}
+
+TEST(Ldlt, SolveInPlaceMatchesPlainSubstitutionBitwise)
+{
+    const Matrix spd = random_spd_matrix(7, 41);
+    const Ldlt f(spd);
+    ASSERT_TRUE(f.ok());
+    const Matrix &l = f.l();
+    for (const std::size_t cols : kKernelColumns) {
+        const Matrix b =
+            random_matrix(7, cols, static_cast<std::uint32_t>(cols) + 42);
+        // Forward substitution, diagonal, backward substitution, column
+        // by column.
+        Matrix want = b;
+        for (std::size_t c = 0; c < cols; ++c) {
+            for (std::size_t i = 0; i < 7; ++i)
+                for (std::size_t k = 0; k < i; ++k)
+                    want(i, c) -= l(i, k) * want(k, c);
+            for (std::size_t i = 0; i < 7; ++i)
+                want(i, c) /= f.d()[i];
+            for (std::size_t i = 7; i-- > 0;)
+                for (std::size_t k = i + 1; k < 7; ++k)
+                    want(i, c) -= l(k, i) * want(k, c);
+        }
+        Matrix x = b;
+        f.solve_in_place(x);
+        EXPECT_TRUE(bitwise_equal(x.data(), want.data()))
+            << cols << " columns";
+    }
 }
 
 TEST(Matrix, BlockReadWriteRoundTrip)
