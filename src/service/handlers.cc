@@ -19,7 +19,6 @@
 #include "obs/run_report.h"
 #include "obs/wall_trace.h"
 #include "service/flight_recorder.h"
-#include "service/json_value.h"
 #include "service/trace_vault.h"
 #include "topology/robot_library.h"
 #include "topology/urdf_parser.h"
@@ -31,6 +30,7 @@ namespace {
 
 using net::HttpRequest;
 using net::HttpResponse;
+using obs::JsonValue;
 
 std::string
 hash_hex(std::uint64_t h)
@@ -119,6 +119,31 @@ invalid_urdf_response(const topology::ValidationReport &report)
     return net::json_response(422, w.str());
 }
 
+/**
+ * Parses a POST body that must be one JSON object.  Returns nullopt with
+ * the 400 in @p error when the body is empty (@p missing_body_message),
+ * is not valid JSON, or is some other JSON value.
+ */
+std::optional<JsonValue>
+parse_object_body(const HttpRequest &request,
+                  const char *missing_body_message, HttpResponse &error)
+{
+    if (request.body.empty()) {
+        error = error_response(400, missing_body_message);
+        return std::nullopt;
+    }
+    std::string parse_error;
+    std::optional<JsonValue> body =
+        obs::parse_json(request.body, &parse_error);
+    if (!body || !body->is_object()) {
+        error = error_response(
+            400, body ? "request body must be a JSON object"
+                      : "invalid JSON: " + parse_error);
+        return std::nullopt;
+    }
+    return body;
+}
+
 /** Parsed, validated request context shared by the model endpoints. */
 struct ResolvedRequest
 {
@@ -138,21 +163,12 @@ std::optional<ResolvedRequest>
 resolve_request(const HttpRequest &request, bool allow_knobs,
                 HttpResponse &error)
 {
-    if (request.body.empty()) {
-        error = error_response(
-            400, "request body required: {\"robot\": name} or "
-                 "{\"urdf\": text}");
+    const std::optional<JsonValue> body = parse_object_body(
+        request,
+        "request body required: {\"robot\": name} or {\"urdf\": text}",
+        error);
+    if (!body)
         return std::nullopt;
-    }
-    std::string parse_error;
-    const std::optional<JsonValue> body =
-        parse_json(request.body, &parse_error);
-    if (!body || !body->is_object()) {
-        error = error_response(
-            400, body ? "request body must be a JSON object"
-                      : "invalid JSON: " + parse_error);
-        return std::nullopt;
-    }
 
     for (const auto &[key, value] : body->members()) {
         (void)value;
@@ -272,16 +288,11 @@ handle_validate(const HttpRequest &request)
     // /v1/validate reports rather than rejects: malformed URDF is a
     // *successful* validation request, so parse the body here instead of
     // going through resolve_request's 422 path.
-    if (request.body.empty())
-        return error_response(400, "request body required");
-    std::string parse_error;
+    HttpResponse error;
     const std::optional<JsonValue> body =
-        parse_json(request.body, &parse_error);
-    if (!body || !body->is_object())
-        return error_response(400, body
-                                       ? "request body must be a JSON "
-                                         "object"
-                                       : "invalid JSON: " + parse_error);
+        parse_object_body(request, "request body required", error);
+    if (!body)
+        return error;
     const auto robot = body->get_string("robot");
     const auto urdf = body->get_string("urdf");
     if ((robot && urdf) || (!robot && !urdf))
@@ -552,17 +563,12 @@ trace_state_response()
 HttpResponse
 handle_debug_trace_toggle(const HttpRequest &request)
 {
-    if (request.body.empty())
-        return error_response(
-            400, "request body required: {\"enabled\": true|false}");
-    std::string parse_error;
-    const std::optional<JsonValue> body =
-        parse_json(request.body, &parse_error);
-    if (!body || !body->is_object())
-        return error_response(400, body
-                                       ? "request body must be a JSON "
-                                         "object"
-                                       : "invalid JSON: " + parse_error);
+    HttpResponse error;
+    const std::optional<JsonValue> body = parse_object_body(
+        request, "request body required: {\"enabled\": true|false}",
+        error);
+    if (!body)
+        return error;
     const JsonValue *enabled = nullptr;
     for (const auto &[key, value] : body->members()) {
         if (key != "enabled")

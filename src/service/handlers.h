@@ -29,8 +29,11 @@
  * HttpRequest and return one HttpResponse, so the whole surface is unit-
  * testable without sockets.  Compute-heavy endpoints share the process-
  * wide DesignCache; sweep schedule precompute runs as job graphs on the
- * core::Executor, so concurrent requests multiplex onto the one
- * work-stealing pool.
+ * core::Executor's one work-stealing pool.  The executor admits one
+ * top-level region at a time (Executor::run and run_chunked hold its
+ * region mutex), so the precomputes of concurrent cold sweeps queue
+ * behind each other rather than share the pool; ROADMAP item 2 takes
+ * this up.
  */
 
 #ifndef ROBOSHAPE_SERVICE_HANDLERS_H

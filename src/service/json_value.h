@@ -1,102 +1,27 @@
 /**
  * @file
- * Minimal JSON DOM for reading service request bodies (docs/SERVICE.md).
+ * The JSON reader under its old service:: names.
  *
- * obs/json.h owns the *writing* side (deterministic streaming writer plus
- * a strict RFC 8259 validator); the daemon additionally needs to *read*
- * small request documents — {"robot": "iiwa", "max_pes_fwd": 4, ...} —
- * so this header adds the matching strict reader.  It is a DOM for
- * kilobyte-scale bodies, not a streaming parser: requests are tiny, and
- * URDF payloads arrive as one JSON string field.
- *
- * Strictness matches the validator: no comments, no trailing commas, no
- * NaN/Infinity, \uXXXX escapes decoded to UTF-8 (surrogate pairs
- * included), nesting capped.  Duplicate object keys keep the first
- * occurrence (lookup order), mirroring common practice.
+ * parse_json() and JsonValue live in obs/json.h, beside the writer, so
+ * that one reader serves the daemon's request bodies and every check of
+ * an emitted artifact.  This header remains only because
+ * perfbench/checks.cc and perfbench/design_cold.cc include it and spell
+ * service::parse_json, and the benchmark's sources change only in
+ * changes of their own.  The benchmark change that moves them to
+ * obs/json.h deletes this file.
  */
 
 #ifndef ROBOSHAPE_SERVICE_JSON_VALUE_H
 #define ROBOSHAPE_SERVICE_JSON_VALUE_H
 
-#include <cstdint>
-#include <memory>
-#include <optional>
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
+#include "obs/json.h"
 
 namespace roboshape {
 namespace service {
 
-/** Nesting depth cap for parsed documents. */
-inline constexpr int kMaxJsonDepth = 64;
-
-class JsonValue
-{
-  public:
-    enum class Kind
-    {
-        kNull,
-        kBool,
-        kNumber,
-        kString,
-        kArray,
-        kObject,
-    };
-
-    Kind kind() const { return kind_; }
-    bool is_null() const { return kind_ == Kind::kNull; }
-    bool is_bool() const { return kind_ == Kind::kBool; }
-    bool is_number() const { return kind_ == Kind::kNumber; }
-    bool is_string() const { return kind_ == Kind::kString; }
-    bool is_array() const { return kind_ == Kind::kArray; }
-    bool is_object() const { return kind_ == Kind::kObject; }
-
-    bool as_bool() const { return bool_; }
-    double as_number() const { return number_; }
-    const std::string &as_string() const { return string_; }
-    const std::vector<JsonValue> &as_array() const { return array_; }
-    const std::vector<std::pair<std::string, JsonValue>> &members() const
-    {
-        return object_;
-    }
-
-    /** Object member by key (first occurrence); null when absent. */
-    const JsonValue *find(std::string_view key) const;
-
-    /** Member @p key as a string; nullopt when absent or not a string. */
-    std::optional<std::string> get_string(std::string_view key) const;
-
-    /**
-     * Member @p key as an unsigned integer in [@p min, @p max]; nullopt
-     * when absent.  @p ok is cleared when the member exists but is not an
-     * integral number in range — callers distinguish "absent" (fine for
-     * optional knobs) from "present but malformed" (a 400).
-     */
-    std::optional<std::uint64_t> get_uint(std::string_view key,
-                                          std::uint64_t min,
-                                          std::uint64_t max,
-                                          bool &ok) const;
-
-  private:
-    friend class JsonParser;
-
-    Kind kind_ = Kind::kNull;
-    bool bool_ = false;
-    double number_ = 0.0;
-    std::string string_;
-    std::vector<JsonValue> array_;
-    std::vector<std::pair<std::string, JsonValue>> object_;
-};
-
-/**
- * Parses @p text as exactly one JSON document.  Nullopt on any syntax
- * error; @p error (when non-null) receives a short description with a
- * byte offset.
- */
-std::optional<JsonValue> parse_json(std::string_view text,
-                                    std::string *error = nullptr);
+using obs::JsonValue;
+using obs::parse_json;
+using obs::kMaxJsonDepth;
 
 } // namespace service
 } // namespace roboshape

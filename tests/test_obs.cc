@@ -105,6 +105,197 @@ TEST(ValidateJson, AcceptsAndRejects)
     EXPECT_NE(error.find("at byte"), std::string::npos);
 }
 
+// ---------------------------------------------------------- JSON reader ----
+
+TEST(JsonValue, ParsesRequestShapedDocument)
+{
+    const auto doc = parse_json(
+        R"({"robot": "iiwa", "max_pes_fwd": 4, "deep": {"list": [1, 2.5,)"
+        R"( true, null, "x"]}})");
+    ASSERT_TRUE(doc);
+    ASSERT_TRUE(doc->is_object());
+    EXPECT_EQ(doc->get_string("robot"), "iiwa");
+    bool ok = true;
+    EXPECT_EQ(doc->get_uint("max_pes_fwd", 1, 4096, ok), 4u);
+    EXPECT_TRUE(ok);
+    const JsonValue *deep = doc->find("deep");
+    ASSERT_NE(deep, nullptr);
+    const JsonValue *list = deep->find("list");
+    ASSERT_NE(list, nullptr);
+    ASSERT_EQ(list->as_array().size(), 5u);
+    EXPECT_DOUBLE_EQ(list->as_array()[1].as_number(), 2.5);
+    EXPECT_TRUE(list->as_array()[3].is_null());
+}
+
+TEST(JsonValue, DecodesEscapesIncludingSurrogatePairs)
+{
+    const auto doc = parse_json(
+        R"({"s": "a\"b\\c\n\u0041\u00e9\ud83d\ude00"})");
+    ASSERT_TRUE(doc);
+    EXPECT_EQ(doc->get_string("s"),
+              "a\"b\\c\nA\xC3\xA9\xF0\x9F\x98\x80");
+}
+
+TEST(JsonValue, RejectsMalformedDocuments)
+{
+    std::string error;
+    EXPECT_FALSE(parse_json("", &error));
+    EXPECT_FALSE(parse_json("{", &error));
+    EXPECT_FALSE(parse_json("{}extra", &error));
+    EXPECT_FALSE(parse_json("{\"a\": 01}", &error));
+    EXPECT_FALSE(parse_json("{\"a\": 1,}", &error));
+    EXPECT_FALSE(parse_json("{\"a\": nul}", &error));
+    EXPECT_FALSE(parse_json("\"unpaired \\ud800\"", &error));
+    EXPECT_FALSE(error.empty()); // failures carry a description
+}
+
+TEST(JsonValue, RejectsExcessNesting)
+{
+    std::string text;
+    for (int i = 0; i < 80; ++i)
+        text += '[';
+    for (int i = 0; i < 80; ++i)
+        text += ']';
+    EXPECT_FALSE(parse_json(text));
+}
+
+TEST(JsonValue, GetUintDistinguishesAbsentFromMalformed)
+{
+    const auto doc = parse_json(
+        R"({"str": "4", "frac": 1.5, "neg": -1, "big": 1e30, "ok": 3})");
+    ASSERT_TRUE(doc);
+    bool ok = true;
+    EXPECT_FALSE(doc->get_uint("missing", 1, 10, ok));
+    EXPECT_TRUE(ok); // absent is not an error
+    EXPECT_FALSE(doc->get_uint("str", 1, 10, ok));
+    EXPECT_FALSE(ok); // present but wrong type is
+    ok = true;
+    EXPECT_FALSE(doc->get_uint("frac", 1, 10, ok));
+    EXPECT_FALSE(ok);
+    ok = true;
+    EXPECT_FALSE(doc->get_uint("neg", 1, 10, ok));
+    EXPECT_FALSE(ok);
+    ok = true;
+    EXPECT_EQ(doc->get_uint("ok", 1, 10, ok), 3u);
+    EXPECT_TRUE(ok);
+}
+
+// One policy behind both entry points: validate_json accepts exactly what
+// parse_json accepts.  The last six rows are where the validator once
+// applied looser rules than the request parser.
+TEST(JsonReader, TableHoldsThroughBothEntryPoints)
+{
+    const auto nested = [](std::size_t levels) {
+        return std::string(levels, '[') + std::string(levels, ']');
+    };
+    const std::vector<std::pair<std::string, bool>> rows = {
+        // ValidateJson.AcceptsAndRejects
+        {"{}", true},
+        {" [1, 2.5e-3, \"x\", null, true] ", true},
+        {"\"\\u00e9\"", true},
+        {"{", false},
+        {"[1,]", false},
+        {"{\"a\":1} trailing", false},
+        {"01", false},
+        {"\"\x01\"", false},
+        // JsonValue.RejectsMalformedDocuments
+        {"", false},
+        {"{}extra", false},
+        {"{\"a\": 01}", false},
+        {"{\"a\": 1,}", false},
+        {"{\"a\": nul}", false},
+        {"\"unpaired \\ud800\"", false},
+        // Edges
+        {"\"\"", true},
+        {" \t\r\n", false},
+        {nested(65), true},
+        // Where the two readers used to disagree
+        {"\"\\ud800\"", false},
+        {"\"\\udc00\"", false},
+        {"1e999", false},
+        {"-1e400", false},
+        {nested(66), false},
+        {nested(257), false},
+    };
+    for (const auto &[text, accepted] : rows) {
+        std::string error;
+        EXPECT_EQ(validate_json(text, &error), accepted) << text;
+        EXPECT_EQ(parse_json(text).has_value(), accepted) << text;
+        if (!accepted) {
+            EXPECT_NE(error.find(" at byte "), std::string::npos) << text;
+        }
+    }
+}
+
+// Expected bytes are written out by hand (Unicode Table 3-7), so the
+// UTF-8 check is not its own oracle.  Each case sits between '<' and '>'
+// so that the byte after it shows where the writer resumes.
+TEST(JsonUtf8, WellFormedSequencesPassThroughByteIdentical)
+{
+    const std::string cases[] = {
+        "<\xC3\xA9>",         // U+00E9
+        "<\xE2\x82\xAC>",     // U+20AC
+        "<\xED\x9F\xBF>",     // U+D7FF, just below the surrogates
+        "<\xEE\x80\x80>",     // U+E000, just above them
+        "<\xEF\xBF\xBF>",     // U+FFFF
+        "<\xF0\x90\x80\x80>", // U+10000
+        "<\xF4\x8F\xBF\xBF>", // U+10FFFF
+    };
+    for (const std::string &text : cases) {
+        JsonWriter w;
+        w.value(text);
+        EXPECT_EQ(w.str(), "\"" + text + "\"") << text;
+        std::string error;
+        const std::optional<JsonValue> doc = parse_json(w.str(), &error);
+        ASSERT_TRUE(doc) << error;
+        EXPECT_EQ(doc->as_string(), text);
+        EXPECT_TRUE(validate_json(w.str()));
+    }
+}
+
+TEST(JsonUtf8, IllFormedBytesAreReplacedOnWriteAndRejectedOnRead)
+{
+    // {input, what the writer emits}: one U+FFFD (EF BF BD) per byte
+    // that starts no well-formed sequence.
+    const std::pair<std::string, std::string> cases[] = {
+        {"<\x80>", "<\xEF\xBF\xBD>"}, // lone continuation byte
+        {"<\xC0\xAF>", "<\xEF\xBF\xBD\xEF\xBF\xBD>"}, // overlong '/'
+        {"<\xC1\xBF>", "<\xEF\xBF\xBD\xEF\xBF\xBD>"}, // overlong U+7F
+        {"<\xE0\x80\xAF>", // overlong '/'
+         "<\xEF\xBF\xBD\xEF\xBF\xBD\xEF\xBF\xBD>"},
+        {"<\xED\xA0\x80>", // encoded U+D800
+         "<\xEF\xBF\xBD\xEF\xBF\xBD\xEF\xBF\xBD>"},
+        {"<\xED\xBF\xBF>", // encoded U+DFFF
+         "<\xEF\xBF\xBD\xEF\xBF\xBD\xEF\xBF\xBD>"},
+        {"<\xF0\x80\x80\xAF>", // overlong '/'
+         "<\xEF\xBF\xBD\xEF\xBF\xBD\xEF\xBF\xBD\xEF\xBF\xBD>"},
+        {"<\xF4\x90\x80\x80>", // U+110000
+         "<\xEF\xBF\xBD\xEF\xBF\xBD\xEF\xBF\xBD\xEF\xBF\xBD>"},
+        {"<\xF5\x80\x80\x80>", // lead byte above F4
+         "<\xEF\xBF\xBD\xEF\xBF\xBD\xEF\xBF\xBD\xEF\xBF\xBD>"},
+        {"<\xFF>", "<\xEF\xBF\xBD>"},
+        {"<\xE2\x82", "<\xEF\xBF\xBD\xEF\xBF\xBD"}, // truncated at the end
+        {"<\xE2\x82" "A>", "<\xEF\xBF\xBD\xEF\xBF\xBD" "A>"}, // truncated by 'A'
+    };
+    for (const auto &[input, written] : cases) {
+        JsonWriter w;
+        w.value(input);
+        EXPECT_EQ(w.str(), "\"" + written + "\"") << input;
+        EXPECT_TRUE(validate_json(w.str()));
+
+        // Each input is read closed and cut off by the end of the text,
+        // so "<\xE2\x82" also ends the whole input mid-sequence.  The
+        // first ill-formed byte follows the opening quote and '<'.
+        for (const std::string &text :
+             {"\"" + input + "\"", "\"" + input}) {
+            std::string error;
+            EXPECT_FALSE(parse_json(text, &error)) << input;
+            EXPECT_EQ(error, "invalid UTF-8 at byte 2") << input;
+            EXPECT_FALSE(validate_json(text));
+        }
+    }
+}
+
 // ------------------------------------------------------------- registry ----
 
 TEST(Registry, CountersAndHistogramsSnapshot)

@@ -28,7 +28,6 @@
 #include "service/cache.h"
 #include "service/flight_recorder.h"
 #include "service/handlers.h"
-#include "service/json_value.h"
 #include "service/server.h"
 #include "topology/robot_library.h"
 
@@ -78,82 +77,6 @@ TEST(ParseUint, EnforcesRange)
     EXPECT_FALSE(core::parse_uint("0", 1, 8));
     EXPECT_FALSE(core::parse_uint("9", 1, 8));
     EXPECT_EQ(core::parse_uint("8", 1, 8), 8u);
-}
-
-// ---------------------------------------------------------------------------
-// service::parse_json — the request-body reader.
-
-TEST(JsonValue, ParsesRequestShapedDocument)
-{
-    const auto doc = service::parse_json(
-        R"({"robot": "iiwa", "max_pes_fwd": 4, "deep": {"list": [1, 2.5,)"
-        R"( true, null, "x"]}})");
-    ASSERT_TRUE(doc);
-    ASSERT_TRUE(doc->is_object());
-    EXPECT_EQ(doc->get_string("robot"), "iiwa");
-    bool ok = true;
-    EXPECT_EQ(doc->get_uint("max_pes_fwd", 1, 4096, ok), 4u);
-    EXPECT_TRUE(ok);
-    const service::JsonValue *deep = doc->find("deep");
-    ASSERT_NE(deep, nullptr);
-    const service::JsonValue *list = deep->find("list");
-    ASSERT_NE(list, nullptr);
-    ASSERT_EQ(list->as_array().size(), 5u);
-    EXPECT_DOUBLE_EQ(list->as_array()[1].as_number(), 2.5);
-    EXPECT_TRUE(list->as_array()[3].is_null());
-}
-
-TEST(JsonValue, DecodesEscapesIncludingSurrogatePairs)
-{
-    const auto doc = service::parse_json(
-        R"({"s": "a\"b\\c\n\u0041\u00e9\ud83d\ude00"})");
-    ASSERT_TRUE(doc);
-    EXPECT_EQ(doc->get_string("s"),
-              "a\"b\\c\nA\xC3\xA9\xF0\x9F\x98\x80");
-}
-
-TEST(JsonValue, RejectsMalformedDocuments)
-{
-    std::string error;
-    EXPECT_FALSE(service::parse_json("", &error));
-    EXPECT_FALSE(service::parse_json("{", &error));
-    EXPECT_FALSE(service::parse_json("{}extra", &error));
-    EXPECT_FALSE(service::parse_json("{\"a\": 01}", &error));
-    EXPECT_FALSE(service::parse_json("{\"a\": 1,}", &error));
-    EXPECT_FALSE(service::parse_json("{\"a\": nul}", &error));
-    EXPECT_FALSE(service::parse_json("\"unpaired \\ud800\"", &error));
-    EXPECT_FALSE(error.empty()); // failures carry a description
-}
-
-TEST(JsonValue, RejectsExcessNesting)
-{
-    std::string text;
-    for (int i = 0; i < 80; ++i)
-        text += '[';
-    for (int i = 0; i < 80; ++i)
-        text += ']';
-    EXPECT_FALSE(service::parse_json(text));
-}
-
-TEST(JsonValue, GetUintDistinguishesAbsentFromMalformed)
-{
-    const auto doc = service::parse_json(
-        R"({"str": "4", "frac": 1.5, "neg": -1, "big": 1e30, "ok": 3})");
-    ASSERT_TRUE(doc);
-    bool ok = true;
-    EXPECT_FALSE(doc->get_uint("missing", 1, 10, ok));
-    EXPECT_TRUE(ok); // absent is not an error
-    EXPECT_FALSE(doc->get_uint("str", 1, 10, ok));
-    EXPECT_FALSE(ok); // present but wrong type is
-    ok = true;
-    EXPECT_FALSE(doc->get_uint("frac", 1, 10, ok));
-    EXPECT_FALSE(ok);
-    ok = true;
-    EXPECT_FALSE(doc->get_uint("neg", 1, 10, ok));
-    EXPECT_FALSE(ok);
-    ok = true;
-    EXPECT_EQ(doc->get_uint("ok", 1, 10, ok), 3u);
-    EXPECT_TRUE(ok);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,6 +218,70 @@ TEST(Service, RejectsBadRequests)
     EXPECT_EQ(svc.handle(get("/nope")).status, 404);
     // Every error body is machine-readable JSON.
     EXPECT_TRUE(obs::validate_json(svc.handle(get("/nope")).body));
+}
+
+// The three POST handlers that read a JSON object share one body check;
+// these are its exact 400 bodies, and each handler keeps its own text for
+// a missing body.
+TEST(Service, PostHandlersAnswerBadBodiesIdentically)
+{
+    service::Service svc;
+    const std::pair<const char *, const char *> bad_bodies[] = {
+        {R"({"a": 01})",
+         R"({"error":"invalid JSON: leading zero at byte 6"})"},
+        {R"({"robot": "iiwa")",
+         R"({"error":"invalid JSON: unterminated object at byte 16"})"},
+        {"[1, 2]", R"({"error":"request body must be a JSON object"})"},
+        {"not json", R"({"error":"invalid JSON: invalid literal at byte 0"})"},
+    };
+    const std::pair<const char *, const char *> targets[] = {
+        {"/v1/sweep", R"({"error":"request body required: {\"robot\": )"
+                      R"(name} or {\"urdf\": text}"})"},
+        {"/v1/validate", R"({"error":"request body required"})"},
+        {"/v1/debug/trace", R"({"error":"request body required: )"
+                            R"({\"enabled\": true|false}"})"},
+    };
+    for (const auto &[target, missing_body] : targets) {
+        const auto empty = svc.handle(post(target, ""));
+        EXPECT_EQ(empty.status, 400) << target;
+        EXPECT_EQ(empty.body, missing_body) << target;
+        for (const auto &[body, expected] : bad_bodies) {
+            const auto response = svc.handle(post(target, body));
+            EXPECT_EQ(response.status, 400) << target << " " << body;
+            EXPECT_EQ(response.body, expected) << target << " " << body;
+        }
+    }
+}
+
+// Requests (RFC 8259 §8.1) and responses are UTF-8: the reader refuses
+// ill-formed bytes, and text echoed from the request line is repaired.
+TEST(Service, IllFormedUtf8IsRefusedAndNeverEchoed)
+{
+    service::Service svc;
+    const auto refused = svc.handle(post("/v1/sweep", "{\"\xff\xfe\": 1}"));
+    EXPECT_EQ(refused.status, 400);
+    EXPECT_EQ(refused.body,
+              R"({"error":"invalid JSON: invalid UTF-8 at byte 2"})");
+
+    const std::pair<const char *, const char *> probes[] = {
+        {"/v1/sweep", "{\"robot\": \"\xff\"}"},
+        {"/v1/sweep", "{\"robot\": \"iiwa\", \"kernel\": \"\xe9\"}"},
+        {"/v1/validate", "{\"urdf\": \"<robot name='\xff'><link "
+                         "name='base'/></robot>\"}"},
+    };
+    for (const auto &[target, body] : probes) {
+        const auto response = svc.handle(post(target, body));
+        EXPECT_EQ(response.status, 400) << body;
+        EXPECT_NE(response.body.find("invalid UTF-8"), std::string::npos)
+            << response.body;
+    }
+
+    const auto missing = svc.handle(get("/v1/\xff"));
+    EXPECT_EQ(missing.status, 404);
+    std::string error;
+    EXPECT_TRUE(obs::validate_json(missing.body, &error)) << error;
+    EXPECT_NE(missing.body.find("/v1/\xEF\xBF\xBD"), std::string::npos)
+        << missing.body;
 }
 
 TEST(Service, ValidateReportsInsteadOfRejecting)

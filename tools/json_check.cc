@@ -1,11 +1,14 @@
 /**
  * @file
- * Strict JSON syntax checker over stdin (exit 0 = valid RFC 8259).
+ * Strict JSON checker over stdin (exit 0 = valid RFC 8259 in
+ * well-formed UTF-8).
  *
  * The CI daemon-smoke job pipes every roboshaped response body through
  * this so "the endpoint answered" also means "the endpoint answered with
- * JSON that parses", using the same obs::validate_json the trace-export
- * tests trust.  Also handy interactively:
+ * JSON that parses", using obs::validate_json, which applies the
+ * daemon's own request reader (obs::parse_json): nesting cap, paired
+ * surrogate escapes, finite numbers and well-formed UTF-8 included.
+ * Also handy interactively:
  *
  *   curl -s localhost:8080/v1/sweep -d '{"robot":"iiwa"}' | json_check
  */
