@@ -11,7 +11,6 @@
 #include <numeric>
 #include <tuple>
 
-#include "core/executor.h"
 #include "core/sweep_context.h"
 
 namespace roboshape {
@@ -22,66 +21,44 @@ DesignSpace::sweep(const topology::RobotModel &model,
                    const accel::TimingModel &timing,
                    sched::KernelKind kernel, std::size_t threads)
 {
-    DesignSpace space;
-    space.context_ = std::make_shared<SweepContext>(model, timing, kernel);
-    SweepContext &ctx = *space.context_;
+    return sweep(std::make_shared<SweepContext>(model, timing, kernel),
+                 threads);
+}
+
+DesignSpace
+DesignSpace::sweep(std::shared_ptr<SweepContext> context,
+                   std::size_t threads)
+{
+    SweepContext &ctx = *context;
+    ctx.precompute_stage_schedules(threads);
+
+    // Every point is a sum of three cached makespans: read each once.
+    // Kernels without a blocked multiply keep mm = {0}.
     const std::size_t n = ctx.num_links();
     const std::size_t block_max = ctx.block_knob_max();
-    const std::size_t mm_jobs =
-        kernel == sched::KernelKind::kDynamicsGradient ? n : 0;
-    const double period = ctx.clock_period_ns();
-    space.points_.resize(n * n * block_max);
-
-    // One job graph instead of two barriers: schedule precompute feeds
-    // point composition directly.  Composition row pf reads forward(pf),
-    // every backward cache, and (gradient kernels) every blocked-multiply
-    // cache, so it depends on its own forward node plus one barrier node
-    // per shared cache family — the row starts the moment those are done,
-    // while other forward schedules are still being computed.  Each job
-    // writes only its own cache slot or its own pre-sized points_ slice,
-    // so the point order is identical to the serial triple loop at any
-    // width.
-    JobGraph graph;
-    std::vector<JobGraph::NodeId> fwd(n);
-    for (std::size_t k = 0; k < n; ++k)
-        fwd[k] = graph.add([&ctx, k](std::size_t) { ctx.forward(k + 1); });
-    const JobGraph::NodeId bwd_done = graph.add([](std::size_t) {});
+    std::vector<std::int64_t> fwd(n), bwd(n), mm(block_max, 0);
     for (std::size_t k = 0; k < n; ++k) {
-        const JobGraph::NodeId node =
-            graph.add([&ctx, k](std::size_t) { ctx.backward(k + 1); });
-        graph.add_edge(node, bwd_done);
+        fwd[k] = ctx.forward(k + 1).makespan;
+        bwd[k] = ctx.backward(k + 1).makespan;
     }
-    const JobGraph::NodeId mm_done = graph.add([](std::size_t) {});
-    for (std::size_t k = 0; k < mm_jobs; ++k) {
-        const JobGraph::NodeId node = graph.add(
-            [&ctx, k](std::size_t) { ctx.block_multiply(k + 1); });
-        graph.add_edge(node, mm_done);
-    }
-    for (std::size_t row = 0; row < n; ++row) {
-        const JobGraph::NodeId node =
-            graph.add([&space, &ctx, row, n, block_max,
-                       period](std::size_t) {
-                const std::size_t pf = row + 1;
-                std::size_t idx = row * n * block_max;
-                for (std::size_t pb = 1; pb <= n; ++pb) {
-                    for (std::size_t b = 1; b <= block_max; ++b, ++idx) {
-                        DesignPoint &point = space.points_[idx];
-                        point.params = {pf, pb, b};
-                        point.cycles =
-                            ctx.cycles_no_pipelining(point.params);
-                        point.latency_us = static_cast<double>(
-                                               point.cycles) *
-                                           period * 1e-3;
-                        point.resources =
-                            accel::estimate_resources(point.params, n);
-                    }
-                }
-            });
-        graph.add_edge(fwd[row], node);
-        graph.add_edge(bwd_done, node);
-        graph.add_edge(mm_done, node);
-    }
-    Executor::instance().run(graph, threads);
+    if (ctx.kernel() == sched::KernelKind::kDynamicsGradient)
+        for (std::size_t b = 0; b < block_max; ++b)
+            mm[b] = ctx.block_multiply(b + 1).makespan;
+
+    DesignSpace space;
+    const double period = ctx.clock_period_ns();
+    space.points_.reserve(n * n * block_max);
+    for (std::size_t pf = 1; pf <= n; ++pf)
+        for (std::size_t pb = 1; pb <= n; ++pb)
+            for (std::size_t b = 1; b <= block_max; ++b) {
+                DesignPoint &point = space.points_.emplace_back();
+                point.params = {pf, pb, b};
+                point.cycles = fwd[pf - 1] + bwd[pb - 1] + mm[b - 1];
+                point.latency_us =
+                    static_cast<double>(point.cycles) * period * 1e-3;
+                point.resources = accel::estimate_resources(point.params, n);
+            }
+    space.context_ = std::move(context);
     return space;
 }
 
@@ -179,19 +156,25 @@ DesignSpace::pareto_frontier() const
 {
     // A point is dominated when another point has <= LUTs and <= cycles
     // with at least one strict.  Sort by LUTs then cycles and sweep.
-    std::vector<DesignPoint> sorted = points_;
+    // Sorting pointers leaves the N^3 points in place; std::sort makes
+    // the same permutation it would make on the values, so ties keep the
+    // same first point.
+    std::vector<const DesignPoint *> sorted;
+    sorted.reserve(points_.size());
+    for (const DesignPoint &p : points_)
+        sorted.push_back(&p);
     std::sort(sorted.begin(), sorted.end(),
-              [](const DesignPoint &a, const DesignPoint &b) {
-                  if (a.resources.luts != b.resources.luts)
-                      return a.resources.luts < b.resources.luts;
-                  return a.cycles < b.cycles;
+              [](const DesignPoint *a, const DesignPoint *b) {
+                  if (a->resources.luts != b->resources.luts)
+                      return a->resources.luts < b->resources.luts;
+                  return a->cycles < b->cycles;
               });
     std::vector<DesignPoint> frontier;
     std::int64_t best_cycles = std::numeric_limits<std::int64_t>::max();
-    for (const DesignPoint &p : sorted) {
-        if (p.cycles < best_cycles) {
-            frontier.push_back(p);
-            best_cycles = p.cycles;
+    for (const DesignPoint *p : sorted) {
+        if (p->cycles < best_cycles) {
+            frontier.push_back(*p);
+            best_cycles = p->cycles;
         }
     }
     return frontier;
@@ -288,66 +271,35 @@ DesignSpace::max_luts() const
     return v;
 }
 
-std::size_t
-best_block_size(const topology::TopologyInfo &topo,
-                const accel::TimingModel &timing)
-{
-    const auto a = sched::mass_inverse_mask(topo);
-    const auto b = sched::derivative_mask(topo);
-    std::size_t best = 1;
-    std::int64_t best_ms = std::numeric_limits<std::int64_t>::max();
-    for (std::size_t bs = 1; bs <= topo.num_links(); ++bs) {
-        const std::int64_t ms =
-            sched::schedule_block_multiply(a, b, bs, timing.mm_units,
-                                           timing.tile)
-                .makespan;
-        if (ms < best_ms) {
-            best_ms = ms;
-            best = bs;
-        }
-    }
-    return best;
-}
-
 StrategyEvaluation
 evaluate_strategy(const topology::RobotModel &model,
                   sched::AllocationStrategy strategy,
                   const DesignSpace &space,
                   const accel::TimingModel &timing)
 {
-    const std::size_t n = model.num_links();
+    // Reuse the space's memoized schedules when it was swept with the same
+    // timing model and the gradient kernel; each strategy then costs at
+    // most two stage schedules (likely cache hits).  Otherwise a local
+    // context schedules the same stages from scratch.
+    SweepContext *ctx = space.context().get();
+    std::optional<SweepContext> local;
+    if (!ctx || ctx->timing() != timing ||
+        ctx->kernel() != sched::KernelKind::kDynamicsGradient ||
+        ctx->num_links() != model.num_links())
+        ctx = &local.emplace(model, timing);
+
+    const std::size_t n = ctx->num_links();
+    const sched::Allocation alloc =
+        sched::allocate(strategy, ctx->topology().metrics());
     StrategyEvaluation eval;
     eval.strategy = strategy;
-
-    // Reuse the space's memoized schedules when it was swept with the same
-    // timing model and kernel; each strategy then costs at most two stage
-    // schedules (likely cache hits) instead of a full design build plus an
-    // N-point block-size scan.
-    SweepContext *ctx = space.context().get();
-    if (ctx && ctx->timing() == timing &&
-        ctx->kernel() == sched::KernelKind::kDynamicsGradient &&
-        ctx->num_links() == n) {
-        const sched::Allocation alloc =
-            sched::allocate(strategy, ctx->topology().metrics());
-        // PE pools are capped at N: allocating beyond the link count
-        // cannot create more parallelism than tasks exist per slot.
-        eval.params = accel::AcceleratorParams{std::min(alloc.pes_fwd, n),
-                                               std::min(alloc.pes_bwd, n),
-                                               ctx->best_block_size()};
-        eval.cycles = ctx->cycles_no_pipelining(eval.params);
-        eval.resources = accel::estimate_resources(eval.params, n);
-    } else {
-        const topology::TopologyInfo topo(model);
-        const sched::Allocation alloc =
-            sched::allocate(strategy, topo.metrics());
-        eval.params =
-            accel::AcceleratorParams{std::min(alloc.pes_fwd, n),
-                                     std::min(alloc.pes_bwd, n),
-                                     best_block_size(topo, timing)};
-        const accel::AcceleratorDesign design(model, eval.params, timing);
-        eval.cycles = design.cycles_no_pipelining();
-        eval.resources = design.resources();
-    }
+    // PE pools are capped at N: allocating beyond the link count cannot
+    // create more parallelism than tasks exist per slot.
+    eval.params = accel::AcceleratorParams{std::min(alloc.pes_fwd, n),
+                                           std::min(alloc.pes_bwd, n),
+                                           ctx->best_block_size()};
+    eval.cycles = ctx->cycles_no_pipelining(eval.params);
+    eval.resources = accel::estimate_resources(eval.params, n);
     eval.meets_minimum_latency = eval.cycles == space.min_cycles();
     return eval;
 }

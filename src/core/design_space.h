@@ -39,23 +39,32 @@ class DesignSpace
 {
   public:
     /**
-     * Evaluates every knob combination in [1, N]^3.
+     * Evaluates every knob combination in [1, N]^3 of @p context.
      *
-     * Schedules are memoized per knob (a SweepContext), so the N^3 points
-     * cost O(N) scheduler passes.  Schedule precompute and point
-     * composition run as ONE job graph on the work-stealing executor
-     * (core/executor.h): a composition row becomes ready the moment its
-     * forward schedule plus the backward/blocked-multiply caches are
-     * done, instead of waiting at a global barrier between the phases.
-     * Output is deterministic: points are ordered by (pes_fwd, pes_bwd,
-     * block_size) regardless of worker count or steal interleaving; set
-     * ROBOSHAPE_THREADS to pin the pool size.
+     * One executor region fills the context's single-knob schedule caches
+     * (SweepContext::precompute_stage_schedules), so the N^3 points cost
+     * O(N) scheduler passes.  Each cached makespan is then read once, and
+     * the points are composed serially from those three small arrays:
+     * cycles = fwd[pf] + bwd[pb] (+ mm[b] for gradient kernels), the same
+     * int64 sum SweepContext::cycles_no_pipelining makes.  Composition is
+     * deliberately serial and does not go through the memo accessors:
+     * each accessor call bumps hit counters that every lane shares, so
+     * lanes composing through cycles_no_pipelining contend on them.  On a
+     * 4-vCPU host that made a sweep slower at 4 lanes than at 1, and cold
+     * daemon sweeps at 4 lanes 73% slower than this serial loop.  Output
+     * is deterministic: points are ordered by (pes_fwd, pes_bwd,
+     * block_size) at any worker count.
      *
-     * @param model   evaluated robot (copied into the space).
-     * @param kernel  kernel family to generate (paper Table 1).
-     * @param threads worker count for this sweep; 0 defers to the
-     *        environment / hardware default.
+     * @param context the robot, timing model and kernel to sweep; the
+     *        space keeps it (see context()).
+     * @param threads worker count of the precompute region; 0 defers to
+     *        ROBOSHAPE_THREADS or the hardware default.
      */
+    static DesignSpace sweep(std::shared_ptr<SweepContext> context,
+                             std::size_t threads = 0);
+
+    /** Sweeps a fresh SweepContext of @p model (copied into the space)
+     *  for @p kernel (paper Table 1). */
     static DesignSpace sweep(const topology::RobotModel &model,
                              const accel::TimingModel &timing =
                                  accel::default_timing(),
@@ -139,12 +148,6 @@ StrategyEvaluation evaluate_strategy(const topology::RobotModel &model,
                                      const DesignSpace &space,
                                      const accel::TimingModel &timing =
                                          accel::default_timing());
-
-/** Block size in [1, N] minimizing the blocked-multiply makespan
- *  (smallest size wins ties). */
-std::size_t best_block_size(const topology::TopologyInfo &topo,
-                            const accel::TimingModel &timing =
-                                accel::default_timing());
 
 } // namespace core
 } // namespace roboshape

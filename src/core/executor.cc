@@ -41,15 +41,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "core/parse_uint.h"
 #include "obs/registry.h"
@@ -242,54 +242,32 @@ thread_local bool t_inside_region = false;
 
 } // namespace
 
-JobGraph::NodeId
-JobGraph::add(std::function<void(std::size_t)> fn)
-{
-    auto node = std::make_unique<Node>();
-    node->fn = std::move(fn);
-    nodes_.push_back(std::move(node));
-    pending_.push_back(0);
-    return nodes_.size() - 1;
-}
-
-void
-JobGraph::add_edge(NodeId before, NodeId after)
-{
-    assert(before < nodes_.size() && after < nodes_.size());
-    assert(before != after);
-    nodes_[before]->successors.push_back(after);
-    ++nodes_[after]->dependency_count;
-}
-
 struct Executor::Impl
 {
     /** One region descriptor, reused for every region (see file comment:
      *  member storage means late-waking workers never dangle). */
     struct Region
     {
-        // Chunked parallel-for (graph == nullptr): payloads are chunk ids.
+        // Chunked parallel-for: payloads are chunk ids.
         void *ctx = nullptr;
         ChunkInvoke invoke = nullptr;
         std::size_t count = 0;
         std::size_t grain = 1;
-        // Graph region: payloads are node ids.
-        JobGraph *graph = nullptr;
 
         std::size_t width = 1;
         std::atomic<std::size_t> remaining{0};
 
         /** Trace-request id of the leading thread: workers adopt it for
          *  the region so their exec.worker spans attribute to the request
-         *  whose job graph they are draining (obs/wall_trace.h). */
+         *  whose region they are draining (obs/wall_trace.h). */
         std::uint64_t trace_req = 0;
 
-        /** Per-lane tallies, updated before the remaining_ decrement so
-         *  the leader's acquire of remaining == 0 publishes them. */
+        /** Per-lane steal tallies, updated before the remaining_
+         *  decrement so the leader's acquire of remaining == 0 publishes
+         *  them. */
         struct alignas(64) LaneTally
         {
-            std::atomic<std::uint64_t> tasks{0};
             std::atomic<std::uint64_t> steals{0};
-            std::atomic<std::uint64_t> queue_peak{0};
         };
         LaneTally tally[kMaxExecutorLanes];
     };
@@ -380,42 +358,10 @@ struct Executor::Impl
 
     void execute(Region &r, std::uint64_t payload, std::size_t lane)
     {
-        if (r.graph == nullptr) {
-            const std::size_t begin = payload * r.grain;
-            const std::size_t end =
-                std::min(r.count, begin + r.grain);
-            r.invoke(r.ctx, begin, end, lane);
-        } else {
-            JobGraph &g = *r.graph;
-            JobGraph::Node &node = *g.nodes_[payload];
-            node.fn(lane);
-            for (const JobGraph::NodeId succ : node.successors) {
-                if (dec_pending(g, succ) == 0) {
-                    const std::size_t depth =
-                        deques_[lane].push(succ);
-                    bump_peak(r, lane, depth);
-                }
-            }
-        }
-        r.tally[lane].tasks.fetch_add(1, std::memory_order_relaxed);
+        const std::size_t begin = payload * r.grain;
+        const std::size_t end = std::min(r.count, begin + r.grain);
+        r.invoke(r.ctx, begin, end, lane);
         r.remaining.fetch_sub(1, std::memory_order_release);
-    }
-
-    /** Atomic decrement of a graph node's pending-dependency count.
-     *  pending_ cells are plain integers armed by the leader inside the
-     *  install window; concurrent decrements use an atomic view. */
-    static std::uint32_t dec_pending(JobGraph &g, JobGraph::NodeId id)
-    {
-        return std::atomic_ref<std::uint32_t>(g.pending_[id])
-                   .fetch_sub(1, std::memory_order_acq_rel) -
-               1;
-    }
-
-    static void bump_peak(Region &r, std::size_t lane, std::size_t depth)
-    {
-        auto &peak = r.tally[lane].queue_peak;
-        if (depth > peak.load(std::memory_order_relaxed))
-            peak.store(depth, std::memory_order_relaxed);
     }
 
     bool try_steal(Region &r, std::size_t lane, std::uint64_t &payload,
@@ -486,14 +432,12 @@ struct Executor::Impl
     // --- region lifecycle (leader side) --------------------------------
 
     /**
-     * Runs the installed-region protocol: @p seed pushes the initial
-     * payloads to lane 0's deque and returns the task count.  Assumes
-     * region fields other than width/remaining were already set by the
-     * caller (which holds region_mutex_).
+     * Runs the installed-region protocol: pushes chunk ids
+     * [0, @p num_chunks) to lane 0's deque, wakes the workers and drains
+     * the region as lane 0.  Assumes the chunk fields (ctx, invoke, count,
+     * grain) were already set by the caller, which holds region_mutex_.
      */
-    template <typename Seed>
-    void lead_region(std::size_t width, std::size_t num_tasks,
-                     Seed &&seed)
+    void lead_region(std::size_t width, std::size_t num_chunks)
     {
         ensure_workers(width);
 
@@ -502,17 +446,13 @@ struct Executor::Impl
         while (joined_.load(std::memory_order_seq_cst) != 0)
             std::this_thread::yield();
         region_.width = width;
-        region_.remaining.store(num_tasks, std::memory_order_relaxed);
+        region_.remaining.store(num_chunks, std::memory_order_relaxed);
         region_.trace_req = obs::trace_request_id();
-        for (std::size_t lane = 0; lane < width; ++lane) {
-            region_.tally[lane].tasks.store(0,
-                                            std::memory_order_relaxed);
-            region_.tally[lane].steals.store(0,
-                                             std::memory_order_relaxed);
-            region_.tally[lane].queue_peak.store(
-                0, std::memory_order_relaxed);
-        }
-        seed();
+        for (std::size_t lane = 0; lane < width; ++lane)
+            region_.tally[lane].steals.store(0, std::memory_order_relaxed);
+        std::size_t depth = 0;
+        for (std::size_t c = 0; c < num_chunks; ++c)
+            depth = deques_[0].push(c);
         install_seq_.fetch_add(1, std::memory_order_seq_cst);
 
         {
@@ -525,33 +465,27 @@ struct Executor::Impl
         work_loop(region_, 0);
         t_inside_region = false;
 
-        flush_tallies(width, num_tasks);
+        flush_tallies(width, num_chunks, depth);
     }
 
-    void flush_tallies(std::size_t width, std::size_t num_tasks)
+    /** Publishes the region's counters; the only deque pushes are the
+     *  seed, so its depth is the region's queue-depth peak. */
+    void flush_tallies(std::size_t width, std::size_t num_chunks,
+                       std::size_t seed_depth)
     {
         (void)width;
-        (void)num_tasks;
+        (void)num_chunks;
+        (void)seed_depth;
 #ifndef ROBOSHAPE_NO_OBS
-        std::uint64_t steals = 0, peak = 0;
-        for (std::size_t lane = 0; lane < width; ++lane) {
+        std::uint64_t steals = 0;
+        for (std::size_t lane = 0; lane < width; ++lane)
             steals += region_.tally[lane].steals.load(
                 std::memory_order_relaxed);
-            peak = std::max(peak, region_.tally[lane].queue_peak.load(
-                                      std::memory_order_relaxed));
-        }
         ROBOSHAPE_OBS_COUNT("exec.regions", 1);
-        ROBOSHAPE_OBS_COUNT("exec.tasks", num_tasks);
+        ROBOSHAPE_OBS_COUNT("exec.tasks", num_chunks);
         ROBOSHAPE_OBS_COUNT("exec.steals", steals);
-        ROBOSHAPE_OBS_RECORD("exec.queue_depth_peak", peak);
+        ROBOSHAPE_OBS_RECORD("exec.queue_depth_peak", seed_depth);
 #endif
-    }
-
-    /** Executed packets/tasks per lane of the last region, for callers
-     *  (SimEngine) that report shard balance. */
-    std::uint64_t lane_tasks(std::size_t lane) const
-    {
-        return region_.tally[lane].tasks.load(std::memory_order_relaxed);
     }
 };
 
@@ -635,71 +569,7 @@ Executor::run_chunked(void *ctx, ChunkInvoke invoke, std::size_t count,
     impl.region_.invoke = invoke;
     impl.region_.count = count;
     impl.region_.grain = grain;
-    impl.region_.graph = nullptr;
-    impl.lead_region(width, num_chunks, [&] {
-        std::size_t depth = 0;
-        for (std::size_t c = 0; c < num_chunks; ++c)
-            depth = impl.deques_[0].push(c);
-        Impl::bump_peak(impl.region_, 0, depth);
-    });
-}
-
-void
-Executor::run(JobGraph &graph, std::size_t requested)
-{
-    const std::size_t nodes = graph.size();
-    if (nodes == 0)
-        return;
-
-    // Arm the per-run dependency countdowns and reject cyclic graphs up
-    // front (a cycle would park the region forever).  Kahn's count over
-    // a scratch copy costs O(V + E) — noise next to any real node.  The
-    // scratch lives in the graph so warm runs allocate nothing.
-    graph.pending_.assign(nodes, 0);
-    std::vector<std::uint32_t> &scratch = graph.scratch_;
-    std::vector<JobGraph::NodeId> &ready = graph.ready_;
-    scratch.assign(nodes, 0);
-    ready.clear();
-    ready.reserve(nodes);
-    for (JobGraph::NodeId id = 0; id < nodes; ++id) {
-        graph.pending_[id] = graph.nodes_[id]->dependency_count;
-        scratch[id] = graph.nodes_[id]->dependency_count;
-        if (scratch[id] == 0)
-            ready.push_back(id);
-    }
-    std::size_t ordered = 0;
-    for (std::size_t head = 0; head < ready.size(); ++head) {
-        ++ordered;
-        for (const JobGraph::NodeId succ :
-             graph.nodes_[ready[head]]->successors)
-            if (--scratch[succ] == 0)
-                ready.push_back(succ);
-    }
-    if (ordered != nodes)
-        throw std::invalid_argument("JobGraph contains a cycle");
-
-    const std::size_t width = resolve_width(nodes, requested);
-    if (width <= 1 || t_inside_region) {
-        // Inline topological execution (ready is a valid order).
-        for (const JobGraph::NodeId id : ready)
-            graph.nodes_[id]->fn(0);
-        return;
-    }
-
-    Impl &impl = *impl_;
-    std::lock_guard<std::mutex> region_lock(impl.region_mutex_);
-    impl.region_.ctx = nullptr;
-    impl.region_.invoke = nullptr;
-    impl.region_.count = nodes;
-    impl.region_.grain = 1;
-    impl.region_.graph = &graph;
-    impl.lead_region(width, nodes, [&] {
-        std::size_t depth = 0;
-        for (JobGraph::NodeId id = 0; id < nodes; ++id)
-            if (graph.pending_[id] == 0)
-                depth = impl.deques_[0].push(id);
-        Impl::bump_peak(impl.region_, 0, depth);
-    });
+    impl.lead_region(width, num_chunks);
 }
 
 } // namespace core

@@ -2,13 +2,13 @@
  * @file
  * Persistent work-stealing executor (docs/PARALLELISM.md).
  *
- * Every parallel region in the pipeline — sweep precompute, design-point
- * composition, `SimEngine::run_batch` shards, fuzz iterations — used to
- * spawn and join fresh `std::thread`s per call and statically stride the
- * index space.  The executor replaces that with one process-lifetime pool
- * of parked workers fed through per-worker Chase-Lev deques: submitting a
- * region wakes the workers, idle workers steal from busy ones (randomized
- * victim order), and the pool parks again when the region drains.  Two
+ * Every parallel region in the pipeline — sweep precompute,
+ * `SimEngine::run_batch` shards, fuzz iterations — used to spawn and join
+ * fresh `std::thread`s per call and statically stride the index space.
+ * The executor replaces that with one process-lifetime pool of parked
+ * workers fed through per-worker Chase-Lev deques: submitting a region
+ * wakes the workers, idle workers steal from busy ones (randomized victim
+ * order), and the pool parks again when the region drains.  Two
  * consequences:
  *
  *  - Fork-join overhead is paid once per process, not once per call.
@@ -34,74 +34,35 @@
  * workspaces) needs no locking even though task->lane assignment is
  * nondeterministic.
  *
- * Job graphs: `JobGraph` expresses dependent phases (nodes + edges) as one
- * region with no barrier between phases — a node becomes stealable the
- * moment its last dependency finishes.  `DesignSpace::sweep` uses this to
- * overlap schedule precompute with design-point composition.
+ * Regions: every region is a chunked `parallel_for` over an index range;
+ * there is no dependency-graph submission.  Dependent phases are separate
+ * regions or run serially on the caller: `DesignSpace::sweep` fills its
+ * schedule caches in one region and composes the points on the calling
+ * thread.
  *
  * Worker count: `ROBOSHAPE_THREADS` (validated; garbage values warn once
  * on stderr and fall back), else the deprecated `ROBOSHAPE_SWEEP_THREADS`
  * alias, else hardware concurrency.  A region may request more lanes than
  * cores (tests force {2, 7}); the pool grows up to `kMaxExecutorLanes`.
  *
- * Observability: counters `exec.regions`, `exec.tasks`, `exec.steals`,
- * `exec.parks`, histogram `exec.queue_depth_peak`, and per-worker wall
- * spans (`exec.worker`, category "exec") when wall tracing is on.
+ * Observability: counters `exec.regions`, `exec.tasks` (chunks run),
+ * `exec.steals`, `exec.parks`, histogram `exec.queue_depth_peak`, and
+ * per-worker wall spans (`exec.worker`, category "exec") when wall
+ * tracing is on.
  */
 
 #ifndef ROBOSHAPE_CORE_EXECUTOR_H
 #define ROBOSHAPE_CORE_EXECUTOR_H
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <memory>
 #include <type_traits>
-#include <vector>
 
 namespace roboshape {
 namespace core {
 
 /** Hard cap on lanes (calling thread + pool workers) per region. */
 inline constexpr std::size_t kMaxExecutorLanes = 64;
-
-/**
- * A reusable dependency graph of tasks for Executor::run.  Build once
- * (add() / add_edge() allocate), run many times (running is allocation-
- * free once the executor is warm).  Node callbacks receive the executing
- * lane and must not throw; a node may only write state it owns.
- */
-class JobGraph
-{
-  public:
-    using NodeId = std::size_t;
-
-    /** Appends a node; returns its id (ids are dense, in add order). */
-    NodeId add(std::function<void(std::size_t lane)> fn);
-
-    /** Declares that @p before must complete before @p after starts. */
-    void add_edge(NodeId before, NodeId after);
-
-    std::size_t size() const { return nodes_.size(); }
-
-  private:
-    friend class Executor;
-
-    struct Node
-    {
-        std::function<void(std::size_t)> fn;
-        std::vector<NodeId> successors;
-        std::uint32_t dependency_count = 0;
-    };
-
-    std::vector<std::unique_ptr<Node>> nodes_;
-    /** Per-run countdown of unfinished dependencies, re-armed by run(). */
-    std::vector<std::uint32_t> pending_;
-    /** Scratch for run()'s cycle check, reused so warm runs stay
-     *  allocation-free. */
-    std::vector<std::uint32_t> scratch_;
-    std::vector<NodeId> ready_;
-};
 
 class Executor
 {
@@ -162,15 +123,6 @@ class Executor
         run_chunked(std::addressof(fn),
                     static_cast<ChunkInvoke>(invoke), count, requested);
     }
-
-    /**
-     * Executes @p graph: every node exactly once, no node before its
-     * dependencies.  Ready nodes are pushed to the completing lane's
-     * deque and stolen from there, so independent subgraphs overlap.
-     *
-     * @throws std::invalid_argument when the graph contains a cycle.
-     */
-    void run(JobGraph &graph, std::size_t requested = 0);
 
     ~Executor();
 

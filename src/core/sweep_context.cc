@@ -5,6 +5,7 @@
 
 #include "core/sweep_context.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -125,10 +126,8 @@ SweepContext::precompute_stage_schedules(std::size_t threads)
     const std::size_t mm_jobs = mm_.size();
     // Job layout: [0, n) forward, [n, 2n) backward, [2n, 2n + mm) blocked
     // multiply.  Each job owns exactly one cache slot, so no lock is needed
-    // at any steal interleaving; already-filled slots are kept.
-    // (DesignSpace::sweep no longer calls this — it folds the same jobs
-    // into its composition job graph — but standalone contexts still use
-    // it to make the lazy accessors concurrency-safe in one call.)
+    // at any steal interleaving; already-filled slots are kept.  This is
+    // the one executor region of a DesignSpace sweep.
     Executor::instance().parallel_for(
         2 * n + mm_jobs,
         [this, n](std::size_t job) {
@@ -169,6 +168,26 @@ SweepContext::best_block_size()
         best_block_ = best;
     }
     return *best_block_;
+}
+
+accel::AcceleratorParams
+SweepContext::capped_params(std::optional<std::size_t> max_pes_fwd,
+                            std::optional<std::size_t> max_pes_bwd,
+                            std::optional<std::size_t> max_block_size)
+{
+    const std::size_t n = num_links();
+    const auto clamp_knob = [n](std::size_t v) {
+        return std::clamp<std::size_t>(v, 1, n);
+    };
+    accel::AcceleratorParams p;
+    p.pes_fwd = clamp_knob(max_pes_fwd.value_or(n));
+    p.pes_bwd = clamp_knob(max_pes_bwd.value_or(n));
+    if (kernel_ == sched::KernelKind::kDynamicsGradient)
+        p.block_size = max_block_size ? clamp_knob(*max_block_size)
+                                      : best_block_size();
+    else
+        p.block_size = 1;
+    return p;
 }
 
 SweepMemoStats

@@ -44,8 +44,9 @@ namespace core {
 /**
  * Memoization effectiveness of one SweepContext, split by cache.  A "hit"
  * is an accessor call that found its slot already filled; a "miss" ran the
- * scheduler.  For an n^3-point sweep the expected shape is O(n) misses and
- * O(n^3) hits — the whole point of the context (see memo_stats()).
+ * scheduler.  A cold n^3-point DesignSpace sweep makes O(n) misses and then
+ * reads each cached schedule once (O(n) hits); later designs, strategy
+ * evaluations and cycles_no_pipelining calls add hits (see memo_stats()).
  */
 struct SweepMemoStats
 {
@@ -120,6 +121,17 @@ class SweepContext
     /** Block size in [1, N] minimizing the blocked-multiply makespan
      *  (smallest size wins ties), memoized. */
     std::size_t best_block_size();
+
+    /**
+     * Knobs of one explicitly requested design: each PE cap clamped to
+     * [1, N], an absent PE cap meaning N.  Gradient kernels take the block
+     * cap clamped to [1, N], else best_block_size(); other kernels always
+     * use block 1.  Shared by the CLI and the daemon.
+     */
+    accel::AcceleratorParams
+    capped_params(std::optional<std::size_t> max_pes_fwd,
+                  std::optional<std::size_t> max_pes_bwd,
+                  std::optional<std::size_t> max_block_size);
 
     /** Full AcceleratorDesign composed from cached schedules — the cheap
      *  construction path (no scheduler re-runs beyond cache misses). */

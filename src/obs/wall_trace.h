@@ -51,7 +51,7 @@ void set_wall_trace_enabled(bool on) noexcept;
 /**
  * Per-request trace context (docs/SERVICE.md): the daemon stamps the
  * current thread with the request id it is serving, and every span
- * recorded from that thread — handler, DesignCache, executor job-graph
+ * recorded from that thread — handler, DesignCache, executor region
  * workers (which adopt the leading thread's id, see core/executor.cc),
  * SimEngine phases — carries it in WallSpan::req.  0 means "no request".
  */

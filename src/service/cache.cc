@@ -63,13 +63,13 @@ model_hash(const topology::RobotModel &model)
     return mix(h);
 }
 
-core::SweepContext &
+const std::shared_ptr<core::SweepContext> &
 CacheEntry::context()
 {
     if (!context_)
-        context_ = std::make_unique<core::SweepContext>(
+        context_ = std::make_shared<core::SweepContext>(
             *model_, accel::default_timing(), kernel_);
-    return *context_;
+    return context_;
 }
 
 const std::string *

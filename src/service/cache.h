@@ -74,7 +74,7 @@ class CacheEntry
      * The entry's SweepContext, created on first use.  Caller must hold
      * mutex(); the context's lazy accessors stay guarded by it too.
      */
-    core::SweepContext &context();
+    const std::shared_ptr<core::SweepContext> &context();
 
     /**
      * Cached response body for @p key (an endpoint-specific string like
@@ -89,7 +89,7 @@ class CacheEntry
     std::mutex mutex_;
     std::shared_ptr<const topology::RobotModel> model_;
     sched::KernelKind kernel_;
-    std::unique_ptr<core::SweepContext> context_;
+    std::shared_ptr<core::SweepContext> context_;
     std::map<std::string, std::string> bodies_;
 };
 

@@ -1,17 +1,15 @@
 #include "service/handlers.h"
 
-#include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <exception>
-#include <limits>
+#include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "accel/params.h"
 #include "accel/platform.h"
 #include "accel/resource_model.h"
+#include "core/design_space.h"
 #include "core/parse_uint.h"
 #include "obs/json.h"
 #include "obs/prometheus.h"
@@ -39,25 +37,6 @@ hash_hex(std::uint64_t h)
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(h));
     return std::string(buf);
-}
-
-/** Case-insensitive library lookup ("iiwa", "HyQ", ...). */
-std::optional<topology::RobotId>
-resolve_robot(const std::string &name)
-{
-    const auto lower = [](std::string s) {
-        std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-            return static_cast<char>(std::tolower(c));
-        });
-        return s;
-    };
-    const std::string want = lower(name);
-    for (const auto &ids :
-         {topology::all_robots(), topology::extended_robots()})
-        for (topology::RobotId id : ids)
-            if (lower(topology::robot_name(id)) == want)
-                return id;
-    return std::nullopt;
 }
 
 std::optional<sched::KernelKind>
@@ -228,7 +207,7 @@ resolve_request(const HttpRequest &request, bool allow_knobs,
         return std::nullopt;
     }
     if (robot) {
-        const auto id = resolve_robot(*robot);
+        const auto id = topology::find_robot(*robot);
         if (!id) {
             error = error_response(404, "unknown library robot '" +
                                             *robot + "'");
@@ -302,7 +281,7 @@ handle_validate(const HttpRequest &request)
     std::string urdf_text;
     std::optional<topology::RobotId> library_id;
     if (robot) {
-        library_id = resolve_robot(*robot);
+        library_id = topology::find_robot(*robot);
         if (!library_id)
             return error_response(404,
                                   "unknown library robot '" + *robot + "'");
@@ -335,111 +314,43 @@ handle_validate(const HttpRequest &request)
     return net::json_response(200, w.str());
 }
 
-/** Renders the sweep body from a warmed context.  Entry mutex held. */
+/** Sweeps @p context and renders the sweep body.  Entry mutex held. */
 std::string
-render_sweep_body(core::SweepContext &ctx, std::uint64_t hash)
+render_sweep_body(std::shared_ptr<core::SweepContext> context,
+                  std::uint64_t hash)
 {
-    const std::size_t n = ctx.num_links();
-    const std::size_t block_max = ctx.block_knob_max();
-    const double period = ctx.clock_period_ns();
-
-    // Schedule precompute fans out as a job graph on the shared
-    // executor; composition below is cache lookups only.
-    ctx.precompute_stage_schedules();
-
-    struct Point
-    {
-        accel::AcceleratorParams params;
-        std::int64_t cycles;
-        accel::ResourceEstimate resources;
-    };
-    std::vector<Point> points;
-    points.reserve(n * n * block_max);
-    std::int64_t min_cycles = std::numeric_limits<std::int64_t>::max();
-    std::int64_t max_cycles = 0;
-    for (std::size_t pf = 1; pf <= n; ++pf)
-        for (std::size_t pb = 1; pb <= n; ++pb)
-            for (std::size_t b = 1; b <= block_max; ++b) {
-                Point p;
-                p.params = {pf, pb, b};
-                p.cycles = ctx.cycles_no_pipelining(p.params);
-                p.resources = accel::estimate_resources(p.params, n);
-                min_cycles = std::min(min_cycles, p.cycles);
-                max_cycles = std::max(max_cycles, p.cycles);
-                points.push_back(p);
-            }
-
-    // Latency/LUT Pareto frontier, identical to
-    // DesignSpace::pareto_frontier(): sort by (LUTs, cycles), keep
-    // strict cycle improvements.
-    std::vector<const Point *> sorted;
-    sorted.reserve(points.size());
-    for (const Point &p : points)
-        sorted.push_back(&p);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Point *a, const Point *b) {
-                  if (a->resources.luts != b->resources.luts)
-                      return a->resources.luts < b->resources.luts;
-                  return a->cycles < b->cycles;
-              });
-    std::vector<const Point *> frontier;
-    std::int64_t best_cycles = std::numeric_limits<std::int64_t>::max();
-    for (const Point *p : sorted)
-        if (p->cycles < best_cycles) {
-            frontier.push_back(p);
-            best_cycles = p->cycles;
-        }
+    const core::DesignSpace space =
+        core::DesignSpace::sweep(std::move(context));
+    const core::SweepContext &ctx = *space.context();
 
     obs::JsonWriter w;
     w.begin_object();
     w.kv("schema", "roboshape.sweep/1");
     w.kv("robot", ctx.model().name());
     w.kv("kernel", kernel_tag(ctx.kernel()));
-    w.kv("links", static_cast<std::uint64_t>(n));
+    w.kv("links", static_cast<std::uint64_t>(ctx.num_links()));
     w.kv("topology_hash", hash_hex(hash));
-    w.kv("clock_period_ns", period);
-    w.kv("total_points", static_cast<std::uint64_t>(points.size()));
-    w.kv("min_cycles", min_cycles);
-    w.kv("max_cycles", max_cycles);
+    w.kv("clock_period_ns", ctx.clock_period_ns());
+    w.kv("total_points", static_cast<std::uint64_t>(space.points().size()));
+    w.kv("min_cycles", space.min_cycles());
+    w.kv("max_cycles", space.max_cycles());
     w.key("pareto").begin_array();
-    for (const Point *p : frontier) {
+    for (const core::DesignPoint &p : space.pareto_frontier()) {
         w.begin_object();
-        w.kv("pes_fwd", static_cast<std::uint64_t>(p->params.pes_fwd));
-        w.kv("pes_bwd", static_cast<std::uint64_t>(p->params.pes_bwd));
-        w.kv("block_size",
-             static_cast<std::uint64_t>(p->params.block_size));
-        w.kv("cycles", p->cycles);
-        w.kv("latency_us",
-             static_cast<double>(p->cycles) * period * 1e-3);
-        w.kv("luts", p->resources.luts);
-        w.kv("dsps", p->resources.dsps);
-        w.kv("fits_vcu118", p->resources.fits(accel::vcu118()));
-        w.kv("fits_vc707", p->resources.fits(accel::vc707()));
+        w.kv("pes_fwd", static_cast<std::uint64_t>(p.params.pes_fwd));
+        w.kv("pes_bwd", static_cast<std::uint64_t>(p.params.pes_bwd));
+        w.kv("block_size", static_cast<std::uint64_t>(p.params.block_size));
+        w.kv("cycles", p.cycles);
+        w.kv("latency_us", p.latency_us);
+        w.kv("luts", p.resources.luts);
+        w.kv("dsps", p.resources.dsps);
+        w.kv("fits_vcu118", p.resources.fits(accel::vcu118()));
+        w.kv("fits_vc707", p.resources.fits(accel::vc707()));
         w.end_object();
     }
     w.end_array();
     w.end_object();
     return w.str();
-}
-
-/** Knob resolution shared by design/report: caps clamped to [1, N]. */
-accel::AcceleratorParams
-resolve_params(core::SweepContext &ctx, const ResolvedRequest &req)
-{
-    const std::size_t n = ctx.num_links();
-    const auto clamp_knob = [n](std::size_t v) {
-        return std::clamp<std::size_t>(v, 1, n);
-    };
-    accel::AcceleratorParams p;
-    p.pes_fwd = clamp_knob(req.max_pes_fwd.value_or(n));
-    p.pes_bwd = clamp_knob(req.max_pes_bwd.value_or(n));
-    if (ctx.kernel() == sched::KernelKind::kDynamicsGradient)
-        p.block_size = req.max_block_size
-                           ? clamp_knob(*req.max_block_size)
-                           : ctx.best_block_size();
-    else
-        p.block_size = 1;
-    return p;
 }
 
 /** Renders the design body for resolved params.  Entry mutex held. */
@@ -754,8 +665,9 @@ Service::handle(const net::HttpRequest &request)
                 return response;
             }
 
-            const accel::AcceleratorParams params =
-                resolve_params(entry->context(), *req);
+            core::SweepContext &ctx = *entry->context();
+            const accel::AcceleratorParams params = ctx.capped_params(
+                req->max_pes_fwd, req->max_pes_bwd, req->max_block_size);
             if (target == "/v1/design") {
                 const std::string key =
                     "design/" + params.to_string();
@@ -763,8 +675,7 @@ Service::handle(const net::HttpRequest &request)
                 const bool hit = body != nullptr;
                 if (!body)
                     body = &entry->store_body(
-                        key, render_design_body(entry->context(), params,
-                                                hash));
+                        key, render_design_body(ctx, params, hash));
                 HttpResponse response = net::json_response(200, *body);
                 response.set_header("X-Roboshape-Cache",
                                     hit ? "hit" : "miss");
@@ -774,7 +685,6 @@ Service::handle(const net::HttpRequest &request)
             // /v1/report: a RunReport document over the compiled design
             // plus the live counter registry.  Counters change between
             // calls, so reports are never body-cached.
-            core::SweepContext &ctx = entry->context();
             const accel::AcceleratorDesign design = ctx.design(params);
             obs::RunReport report("roboshaped", "design service report");
             report.set_robot(ctx.model().name());

@@ -28,10 +28,10 @@
  * Handlers are pure with respect to the connection: they see one
  * HttpRequest and return one HttpResponse, so the whole surface is unit-
  * testable without sockets.  Compute-heavy endpoints share the process-
- * wide DesignCache; sweep schedule precompute runs as job graphs on the
- * core::Executor's one work-stealing pool.  The executor admits one
- * top-level region at a time (Executor::run and run_chunked hold its
- * region mutex), so the precomputes of concurrent cold sweeps queue
+ * wide DesignCache; a cold sweep's schedule precompute runs as one
+ * parallel_for region on the core::Executor's one work-stealing pool.
+ * The executor admits one top-level region at a time (run_chunked holds
+ * its region mutex), so the precomputes of concurrent cold sweeps queue
  * behind each other rather than share the pool; ROADMAP item 2 takes
  * this up.
  */

@@ -245,7 +245,7 @@ Server::serve_connection(net::TcpConn conn, std::int64_t queue_wait_us)
         const bool traced = trace_header && *trace_header == "1";
 
         // Per-request trace context: every span recorded on this thread
-        // (and on executor workers draining this request's job graphs)
+        // (and on executor workers draining this request's regions)
         // carries the request id.  A traced request also forces wall
         // tracing on for its duration.
         obs::set_trace_request_id(id);

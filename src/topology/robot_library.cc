@@ -5,6 +5,8 @@
 
 #include "topology/robot_library.h"
 
+#include <algorithm>
+#include <cctype>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -242,6 +244,23 @@ extended_robots()
     static const std::vector<RobotId> kExtended{
         RobotId::kBittle, RobotId::kPepper, RobotId::kHumanoid};
     return kExtended;
+}
+
+std::optional<RobotId>
+find_robot(std::string_view name)
+{
+    const auto matches = [name](std::string_view candidate) {
+        return std::equal(candidate.begin(), candidate.end(), name.begin(),
+                          name.end(), [](unsigned char a, unsigned char b) {
+                              return std::tolower(a) == std::tolower(b);
+                          });
+    };
+    for (const std::vector<RobotId> *ids :
+         {&all_robots(), &extended_robots()})
+        for (const RobotId id : *ids)
+            if (matches(robot_name(id)))
+                return id;
+    return std::nullopt;
 }
 
 const std::vector<RobotId> &

@@ -13,7 +13,9 @@
 #ifndef ROBOSHAPE_TOPOLOGY_ROBOT_LIBRARY_H
 #define ROBOSHAPE_TOPOLOGY_ROBOT_LIBRARY_H
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "topology/robot_model.h"
@@ -49,6 +51,10 @@ const std::vector<RobotId> &extended_robots();
 
 /** Robot display name ("iiwa", "HyQ", ...). */
 const char *robot_name(RobotId id);
+
+/** Case-insensitive lookup of a display name ("IIWA", "hyq+ARM") over the
+ *  paper's six robots and the extended fleet; nullopt when none matches. */
+std::optional<RobotId> find_robot(std::string_view name);
 
 /** The three robots with shipped FPGA designs (Table 2 / Fig. 9). */
 const std::vector<RobotId> &shipped_robots();

@@ -21,7 +21,6 @@ namespace {
 
 using topology::RobotId;
 using topology::RobotModel;
-using topology::TopologyInfo;
 using topology::all_robots;
 using topology::build_robot;
 using topology::robot_name;
@@ -141,8 +140,7 @@ TEST(DesignSpace, MaxAllocationOftenMissesMinimumLatency)
 TEST(DesignSpace, BestBlockSizeAlignsWithHyqLegs)
 {
     const RobotModel m = build_robot(RobotId::kHyq);
-    const TopologyInfo topo(m);
-    const std::size_t best = best_block_size(topo);
+    const std::size_t best = SweepContext(m).best_block_size();
     EXPECT_TRUE(best == 3 || best == 6 || best == 9 || best == 12)
         << best;
 }
@@ -212,6 +210,32 @@ TEST(Strategies, AvgLeafDepthUnderprovisionsAsymmetricRobots)
     const auto avg = evaluate_strategy(
         m, sched::AllocationStrategy::kAvgLeafDepth, space);
     EXPECT_FALSE(avg.meets_minimum_latency);
+}
+
+TEST(Strategies, MismatchedSpaceEvaluatesLikeTheGradientSpace)
+{
+    // A space swept for another kernel cannot lend its schedules, so
+    // evaluate_strategy schedules the gradient stages itself; the result
+    // must equal evaluation against the gradient space.
+    for (RobotId id : all_robots()) {
+        const RobotModel m = build_robot(id);
+        const DesignSpace gradient = DesignSpace::sweep(m);
+        const DesignSpace crba = DesignSpace::sweep(
+            m, accel::default_timing(), sched::KernelKind::kMassMatrix);
+        for (const sched::AllocationStrategy strategy :
+             sched::all_strategies()) {
+            const StrategyEvaluation want =
+                evaluate_strategy(m, strategy, gradient);
+            const StrategyEvaluation got =
+                evaluate_strategy(m, strategy, crba);
+            EXPECT_EQ(got.params, want.params) << robot_name(id);
+            EXPECT_EQ(got.cycles, want.cycles) << robot_name(id);
+            EXPECT_EQ(got.resources.luts, want.resources.luts)
+                << robot_name(id);
+            EXPECT_EQ(got.resources.dsps, want.resources.dsps)
+                << robot_name(id);
+        }
+    }
 }
 
 TEST(Generator, FromUrdfProducesFeasibleDesignWithReport)

@@ -1,11 +1,11 @@
 /**
  * @file
- * Suite for the persistent work-stealing executor (core::Executor): index
- * coverage and lane exclusivity of parallel_for, byte-identical sweep and
- * run_batch outputs across thread counts {1, 2, 7, hw} and repeated runs
- * under stealing, job-graph dependency ordering (chain and diamond),
- * cycle rejection, env-var validation, and a counting-operator-new proof
- * that warm submissions never touch the heap.
+ * Suite for the persistent work-stealing executor (core::Executor), whose
+ * every region is a chunked parallel_for: index coverage and lane
+ * exclusivity, byte-identical sweep and run_batch outputs across thread
+ * counts {1, 2, 7, hw} and repeated runs under stealing, env-var
+ * validation, and a counting-operator-new proof that warm submissions
+ * never touch the heap.
  */
 
 #include <gtest/gtest.h>
@@ -118,7 +118,6 @@ namespace {
 using roboshape::core::DesignPoint;
 using roboshape::core::DesignSpace;
 using roboshape::core::Executor;
-using roboshape::core::JobGraph;
 using roboshape::core::kMaxExecutorLanes;
 
 /** The widths the determinism suites pin: serial, small, more lanes than
@@ -331,102 +330,11 @@ TEST(ExecutorDeterminism, RunBatchIdenticalAcrossThreadCounts)
     }
 }
 
-// ---------------------------------------------------------- job graph ----
-
-TEST(ExecutorJobGraph, ChainRunsInDependencyOrder)
-{
-    constexpr std::size_t kChain = 24;
-    for (const std::size_t width : kWidths) {
-        JobGraph graph;
-        std::atomic<std::uint64_t> clock{1};
-        std::vector<std::uint64_t> seq(kChain, 0);
-        std::vector<JobGraph::NodeId> ids;
-        for (std::size_t k = 0; k < kChain; ++k)
-            ids.push_back(graph.add([&, k](std::size_t) {
-                seq[k] = clock.fetch_add(1, std::memory_order_relaxed);
-            }));
-        for (std::size_t k = 1; k < kChain; ++k)
-            graph.add_edge(ids[k - 1], ids[k]);
-
-        Executor::instance().run(graph, width);
-        for (std::size_t k = 1; k < kChain; ++k)
-            EXPECT_LT(seq[k - 1], seq[k])
-                << "chain order broken at " << k << ", width " << width;
-    }
-}
-
-TEST(ExecutorJobGraph, DiamondWaitsForBothBranches)
-{
-    // a -> {b, c} -> d, repeated so steal interleavings vary.
-    for (int rep = 0; rep < 25; ++rep) {
-        JobGraph graph;
-        std::atomic<std::uint64_t> clock{1};
-        std::uint64_t seq[4] = {0, 0, 0, 0};
-        JobGraph::NodeId ids[4];
-        for (int k = 0; k < 4; ++k)
-            ids[k] = graph.add([&, k](std::size_t) {
-                seq[k] = clock.fetch_add(1, std::memory_order_relaxed);
-            });
-        graph.add_edge(ids[0], ids[1]);
-        graph.add_edge(ids[0], ids[2]);
-        graph.add_edge(ids[1], ids[3]);
-        graph.add_edge(ids[2], ids[3]);
-
-        Executor::instance().run(graph, 4);
-        EXPECT_LT(seq[0], seq[1]);
-        EXPECT_LT(seq[0], seq[2]);
-        EXPECT_LT(seq[1], seq[3]);
-        EXPECT_LT(seq[2], seq[3]);
-    }
-}
-
-TEST(ExecutorJobGraph, ReusedGraphRunsEveryNodeEachTime)
-{
-    constexpr std::size_t kNodes = 40;
-    JobGraph graph;
-    std::vector<std::atomic<int>> hits(kNodes);
-    std::vector<JobGraph::NodeId> ids;
-    for (std::size_t k = 0; k < kNodes; ++k)
-        ids.push_back(
-            graph.add([&, k](std::size_t) { hits[k].fetch_add(1); }));
-    // Sparse dependencies: every fourth node gates the next one.
-    for (std::size_t k = 4; k < kNodes; k += 4)
-        graph.add_edge(ids[k - 4], ids[k]);
-
-    for (int run = 1; run <= 3; ++run) {
-        Executor::instance().run(graph, 7);
-        for (std::size_t k = 0; k < kNodes; ++k)
-            EXPECT_EQ(hits[k].load(), run) << "node " << k;
-    }
-}
-
-TEST(ExecutorJobGraph, CycleThrowsInvalidArgument)
-{
-    JobGraph graph;
-    const JobGraph::NodeId a = graph.add([](std::size_t) {});
-    const JobGraph::NodeId b = graph.add([](std::size_t) {});
-    const JobGraph::NodeId c = graph.add([](std::size_t) {});
-    graph.add_edge(a, b);
-    graph.add_edge(b, c);
-    graph.add_edge(c, a);
-    EXPECT_THROW(Executor::instance().run(graph, 4),
-                 std::invalid_argument);
-    EXPECT_THROW(Executor::instance().run(graph, 1),
-                 std::invalid_argument);
-}
-
-TEST(ExecutorJobGraph, EmptyGraphIsANoOp)
-{
-    JobGraph graph;
-    Executor::instance().run(graph, 4); // must not hang or throw
-    EXPECT_EQ(graph.size(), 0u);
-}
-
 // ---------------------------------------------------- allocation-free ----
 
-// A warm executor must keep parallel_for and JobGraph submissions off the
-// heap entirely: the region descriptor is member storage, callbacks stay
-// on the caller's stack, deques are pre-sized, and the exec.* registry
+// A warm executor must keep parallel_for submissions off the heap
+// entirely: the region descriptor is member storage, callbacks stay on
+// the caller's stack, deques are pre-sized, and the exec.* registry
 // entries are pre-registered by the constructor.
 TEST(ExecutorAllocations, WarmParallelForIsAllocationFree)
 {
@@ -445,31 +353,6 @@ TEST(ExecutorAllocations, WarmParallelForIsAllocationFree)
     EXPECT_EQ(alloc_counter_read(), 0u);
     for (std::size_t i = 0; i < kCount; ++i)
         EXPECT_EQ(out[i], i + 7);
-}
-
-TEST(ExecutorAllocations, WarmJobGraphRunsAreAllocationFree)
-{
-#if !ROBOSHAPE_COUNT_ALLOCS
-    GTEST_SKIP() << "allocation counting disabled under sanitizers";
-#endif
-    constexpr std::size_t kNodes = 32;
-    JobGraph graph;
-    std::vector<std::uint64_t> out(kNodes, 0);
-    std::vector<JobGraph::NodeId> ids;
-    for (std::size_t k = 0; k < kNodes; ++k)
-        ids.push_back(
-            graph.add([&out, k](std::size_t) { out[k] += k + 1; }));
-    for (std::size_t k = 1; k < kNodes; k += 2)
-        graph.add_edge(ids[k - 1], ids[k]);
-
-    Executor &exec = Executor::instance();
-    exec.run(graph, 4); // warm-up sizes pending_/scratch
-    alloc_counter_arm();
-    exec.run(graph, 4);
-    exec.run(graph, 4);
-    EXPECT_EQ(alloc_counter_read(), 0u);
-    for (std::size_t k = 0; k < kNodes; ++k)
-        EXPECT_EQ(out[k], 3 * (k + 1));
 }
 
 // ------------------------------------------------------ env validation ----

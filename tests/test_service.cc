@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -331,6 +333,56 @@ TEST(Service, SweepCachesByteIdentically)
     EXPECT_EQ(crba.header("X-Roboshape-Cache"), "miss");
     EXPECT_NE(crba.body, cold.body);
     EXPECT_EQ(svc.cache().size(), 2u);
+}
+
+/**
+ * Golden /v1/sweep bodies: every library robot under every kernel, each
+ * on a fresh Service (a cold sweep), compared byte for byte with
+ * tests/golden/sweep/<robot>_<kernel>.json.  The files are an oracle
+ * independent of DesignSpace, which both the daemon and the perfbench
+ * frontier check compose through.  Regenerate intentionally with
+ *   ROBOSHAPE_UPDATE_GOLDEN=1 ctest -R Service.SweepBodiesMatchGoldens
+ */
+TEST(Service, SweepBodiesMatchGoldens)
+{
+    const bool update =
+        // Presence-only regeneration switch, as in the trace golden.
+        std::getenv("ROBOSHAPE_UPDATE_GOLDEN") // NOLINT(banned-env-raw)
+        != nullptr;
+    for (const auto &ids :
+         {topology::all_robots(), topology::extended_robots()})
+        for (const topology::RobotId id : ids)
+            for (const char *kernel : {"gradient", "crba", "kinematics"}) {
+                const std::string robot = topology::robot_name(id);
+                std::string stem;
+                for (const unsigned char c : robot)
+                    stem += std::isalnum(c)
+                                ? static_cast<char>(std::tolower(c))
+                                : '_';
+                const std::string path =
+                    std::string(ROBOSHAPE_SOURCE_DIR) +
+                    "/tests/golden/sweep/" + stem + "_" + kernel + ".json";
+
+                service::Service svc;
+                const auto response = svc.handle(
+                    post("/v1/sweep", "{\"robot\": \"" + robot +
+                                          "\", \"kernel\": \"" + kernel +
+                                          "\"}"));
+                ASSERT_EQ(response.status, 200) << path;
+                if (update) {
+                    std::ofstream out(path, std::ios::binary);
+                    out << response.body;
+                    ASSERT_TRUE(out.good()) << "cannot write " << path;
+                    continue;
+                }
+                std::ifstream in(path, std::ios::binary);
+                ASSERT_TRUE(in.good()) << "missing golden file " << path;
+                std::stringstream buf;
+                buf << in.rdbuf();
+                EXPECT_EQ(response.body, buf.str())
+                    << path << ": /v1/sweep body changed; if intentional, "
+                    << "regenerate with ROBOSHAPE_UPDATE_GOLDEN=1";
+            }
 }
 
 TEST(Service, DesignClampsKnobsAndReportsPlatforms)

@@ -308,6 +308,15 @@ TEST(RobotModel, FindLinkByName)
     EXPECT_EQ(m.find_link("nope"), -1);
 }
 
+TEST(RobotLibrary, FindRobotIsCaseInsensitiveOverTheWholeFleet)
+{
+    EXPECT_EQ(find_robot("IIWA"), RobotId::kIiwa);
+    EXPECT_EQ(find_robot("hyq+ARM"), RobotId::kHyqWithArm);
+    EXPECT_EQ(find_robot("humanoid"), RobotId::kHumanoid); // extended fleet
+    EXPECT_EQ(find_robot(""), std::nullopt);
+    EXPECT_EQ(find_robot("marvin"), std::nullopt);
+}
+
 // -------------------------------------------------------------- info ----
 
 TEST(TopologyInfo, DepthsSubtreesAndAncestry)

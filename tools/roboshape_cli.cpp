@@ -36,8 +36,6 @@
  * truncation (docs/SERVICE.md covers the bug class).
  */
 
-#include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -46,6 +44,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -409,50 +408,13 @@ cmd_rtl(const topology::RobotModel &model, const CliOptions &opt)
     return 0;
 }
 
-/** Case-insensitive lookup over the bundled library ("iiwa", "HyQ", ...). */
-std::optional<topology::RobotId>
-resolve_robot(const std::string &name)
-{
-    const auto lower = [](std::string s) {
-        std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-            return static_cast<char>(std::tolower(c));
-        });
-        return s;
-    };
-    const std::string want = lower(name);
-    for (const auto &ids :
-         {topology::all_robots(), topology::extended_robots()})
-        for (topology::RobotId id : ids)
-            if (lower(topology::robot_name(id)) == want)
-                return id;
-    return std::nullopt;
-}
-
-/** Design knobs for trace/stats: explicit caps, else best/maximal. */
-accel::AcceleratorParams
-resolve_params(core::SweepContext &ctx, const CliOptions &opt)
-{
-    const std::size_t n = ctx.num_links();
-    const auto clamp_knob = [n](std::size_t v) {
-        return std::clamp<std::size_t>(v, 1, n);
-    };
-    accel::AcceleratorParams p;
-    p.pes_fwd = clamp_knob(opt.constraints.max_pes_fwd.value_or(n));
-    p.pes_bwd = clamp_knob(opt.constraints.max_pes_bwd.value_or(n));
-    if (ctx.kernel() == sched::KernelKind::kDynamicsGradient)
-        p.block_size = opt.constraints.max_block_size
-                           ? clamp_knob(*opt.constraints.max_block_size)
-                           : ctx.best_block_size();
-    else
-        p.block_size = 1;
-    return p;
-}
-
 int
 cmd_trace(const topology::RobotModel &model, const CliOptions &opt)
 {
     core::SweepContext ctx(model, accel::default_timing(), opt.kernel);
-    const accel::AcceleratorParams params = resolve_params(ctx, opt);
+    const accel::AcceleratorParams params = ctx.capped_params(
+        opt.constraints.max_pes_fwd, opt.constraints.max_pes_bwd,
+        opt.constraints.max_block_size);
     const accel::AcceleratorDesign design = ctx.design(params);
     const sched::Schedule &schedule = design.pipelined();
 
@@ -509,18 +471,17 @@ cmd_trace(const topology::RobotModel &model, const CliOptions &opt)
 int
 cmd_stats(const topology::RobotModel &model, const CliOptions &opt)
 {
-    // A representative workload: precompute the sweep caches, compose
-    // every knob triple from them, build the chosen design, and stream a
-    // small batch through the compiled engine — touching every
-    // instrumented subsystem so the snapshot below is meaningful.
-    core::SweepContext ctx(model, accel::default_timing(), opt.kernel);
-    ctx.precompute_stage_schedules();
-    const std::size_t n = ctx.num_links();
-    for (std::size_t f = 1; f <= n; ++f)
-        for (std::size_t b = 1; b <= n; ++b)
-            for (std::size_t bs = 1; bs <= ctx.block_knob_max(); ++bs)
-                ctx.cycles_no_pipelining({f, b, bs});
-    const accel::AcceleratorParams params = resolve_params(ctx, opt);
+    // A representative workload: sweep the whole design space, build the
+    // chosen design, and stream a small batch through the compiled engine
+    // — touching every instrumented subsystem so the snapshot below is
+    // meaningful.
+    const core::DesignSpace space =
+        core::DesignSpace::sweep(std::make_shared<core::SweepContext>(
+            model, accel::default_timing(), opt.kernel));
+    core::SweepContext &ctx = *space.context();
+    const accel::AcceleratorParams params = ctx.capped_params(
+        opt.constraints.max_pes_fwd, opt.constraints.max_pes_bwd,
+        opt.constraints.max_block_size);
     const accel::AcceleratorDesign design = ctx.design(params);
 
     const accel::SimEngine engine(design);
@@ -688,7 +649,7 @@ main(int argc, char **argv)
 
     topology::RobotModel model;
     if (!opt->robot.empty()) {
-        const auto id = resolve_robot(opt->robot);
+        const auto id = topology::find_robot(opt->robot);
         if (!id) {
             std::fprintf(stderr, "error: unknown library robot '%s'\n",
                          opt->robot.c_str());
