@@ -2,17 +2,25 @@
  * @file
  * google-benchmark microbenchmarks of the CPU dynamics substrate — the
  * measured baseline feeding Figs. 9 and 10 (RNEA, CRBA, analytical
- * derivatives, full gradient kernel) across all six robots.
+ * derivatives, full gradient kernel) across all six robots — and of the
+ * iLQR Riccati backward pass those gradients feed, per robot and per
+ * linalg kernel shape.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
+#include "control/ilqr.h"
 #include "dynamics/constrained.h"
 #include "dynamics/crba.h"
 #include "dynamics/fd_derivatives.h"
 #include "dynamics/rnea.h"
 #include "dynamics/rnea_derivatives.h"
 #include "dynamics/robot_state.h"
+#include "linalg/factorization.h"
+#include "linalg/random.h"
 #include "topology/robot_library.h"
 #include "topology/topology_info.h"
 
@@ -118,6 +126,91 @@ BM_ConstrainedDynamicsHyq(benchmark::State &state)
     state.SetLabel("HyQ, 4 stance feet");
 }
 BENCHMARK(BM_ConstrainedDynamicsHyq);
+
+void
+BM_RiccatiPass(benchmark::State &state)
+{
+    // One backward pass over horizon 8, per limb as solve_ilqr runs it,
+    // at the iterate after one iteration of a seeded reach (ilqr_stream's
+    // problem shape).
+    const auto &model = model_for(static_cast<int>(state.range(0)));
+    const topology::TopologyInfo topo(model);
+    const std::size_t n = model.num_links();
+    control::IlqrProblem problem;
+    problem.q0 = linalg::random_vector(n, 7, -0.4, 0.4);
+    problem.qd0 = linalg::random_vector(n, 8, -0.2, 0.2);
+    problem.q_goal = problem.q0 + linalg::random_vector(n, 9, -0.5, 0.5);
+    problem.horizon = 8;
+    control::IlqrOptions options;
+    options.max_iterations = 1;
+    options.cost_tolerance = 0.0;
+    options.max_line_search = 1;
+    const control::IlqrResult iterate =
+        control::solve_ilqr(model, topo, problem, options);
+
+    std::vector<linalg::Matrix> a(problem.horizon), b(problem.horizon);
+    for (std::size_t k = 0; k < problem.horizon; ++k) {
+        linalg::Vector q(n), qd(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            q[i] = iterate.states[k][i];
+            qd[i] = iterate.states[k][n + i];
+        }
+        const auto g = dynamics::forward_dynamics_gradients(
+            model, topo, q, qd, iterate.controls[k]);
+        control::discretize_gradients(g.dqdd_dq, g.dqdd_dqd, g.mass_inv,
+                                      problem.dt, a[k], b[k]);
+    }
+    control::RiccatiWorkspace ws(topo.limb_spans());
+    std::vector<linalg::Vector> ff(problem.horizon, linalg::Vector(n));
+    std::vector<linalg::Matrix> gain(problem.horizon,
+                                     linalg::Matrix(n, 2 * n));
+    for (auto _ : state) {
+        const bool ok = control::riccati_backward_pass(
+            problem, iterate.states, iterate.controls, a, b, 1e-6, ws, ff,
+            gain);
+        benchmark::DoNotOptimize(ok);
+        benchmark::DoNotOptimize(gain.data());
+        benchmark::ClobberMemory();
+    }
+    set_label(state);
+}
+BENCHMARK(BM_RiccatiPass)->DenseRange(0, 5);
+
+void
+BM_LinalgKernels(benchmark::State &state)
+{
+    // The Riccati pass's kernels at the shapes of one limb of m links:
+    // A^T Vxx and (A^T Vxx) A on 2m x 2m operands, and the [k | K] solve
+    // of an m x m Quu against m x (2m + 1) right-hand sides (each timed
+    // solve includes copying those back in).  m = 3, 7, 12 and 15 are a
+    // HyQ leg, iiwa (or a Baxter arm), Jaco-2 and Jaco-3.
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto kernel = state.range(1);
+    const linalg::Matrix lhs = linalg::random_matrix(2 * m, 2 * m, 11);
+    const linalg::Matrix rhs = linalg::random_matrix(2 * m, 2 * m, 12);
+    const linalg::Ldlt quu(linalg::random_spd_matrix(m, 13));
+    const linalg::Matrix qux = linalg::random_matrix(m, 2 * m + 1, 14);
+    linalg::Matrix out, solved = qux;
+    for (auto _ : state) {
+        if (kernel == 0) {
+            linalg::multiply_into(lhs, rhs, out);
+        } else if (kernel == 1) {
+            linalg::transposed_multiply_into(lhs, rhs, out);
+        } else {
+            solved = qux;
+            quu.solve_in_place(solved);
+            benchmark::DoNotOptimize(solved.data().data());
+        }
+        benchmark::DoNotOptimize(out.data().data());
+        benchmark::ClobberMemory();
+    }
+    const char *const names[] = {"multiply_into", "transposed_multiply_into",
+                                 "Ldlt::solve_in_place"};
+    state.SetLabel(std::string(names[kernel]) + ", m = " +
+                   std::to_string(m));
+}
+BENCHMARK(BM_LinalgKernels)
+    ->ArgsProduct({{3, 7, 12, 15}, {0, 1, 2}});
 
 } // namespace
 

@@ -5,13 +5,26 @@
 
 #include "control/accel_linearizer.h"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "dynamics/crba.h"
 
 namespace roboshape {
 namespace control {
+
+namespace {
+
+/** Throws std::invalid_argument unless @p x has 2n entries and @p u n. */
+void
+check_knot(const linalg::Vector &x, const linalg::Vector &u, std::size_t n)
+{
+    if (x.size() != 2 * n || u.size() != n)
+        throw std::invalid_argument(
+            "AcceleratorLinearizer: a knot needs a state of 2n entries and "
+            "a control of n");
+}
+
+} // namespace
 
 AcceleratorLinearizer::AcceleratorLinearizer(
     const accel::AcceleratorDesign &design, accel::SimOrder order,
@@ -69,6 +82,7 @@ AcceleratorLinearizer::linearize(const linalg::Vector &x,
                                  const linalg::Vector &u, double dt,
                                  linalg::Matrix &a, linalg::Matrix &b)
 {
+    check_knot(x, u, design_->model().num_links());
     Knot &knot = knots_[0];
     accel::EngineResult &result = results_[0];
     engine_.run(ws_, front_end(x, u, knot), result);
@@ -84,7 +98,12 @@ AcceleratorLinearizer::linearize_horizon(
     std::span<linalg::Matrix> a, std::span<linalg::Matrix> b)
 {
     const std::size_t knots = controls.size();
-    assert(states.size() == knots && a.size() == knots && b.size() == knots);
+    if (states.size() != knots || a.size() != knots || b.size() != knots)
+        throw std::invalid_argument(
+            "AcceleratorLinearizer: states, controls, a and b need one "
+            "entry per knot");
+    for (std::size_t k = 0; k < knots; ++k)
+        check_knot(states[k], controls[k], design_->model().num_links());
     reserve_knots(knots);
     for (std::size_t k = 0; k < knots; ++k)
         packets_[k] = front_end(states[k], controls[k], knots_[k]);

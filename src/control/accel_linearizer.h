@@ -46,7 +46,8 @@ class AcceleratorLinearizer : public DynamicsLinearizer
         accel::SimOrder order = accel::SimOrder::kStaged,
         const spatial::Vec3 &gravity = dynamics::kDefaultGravity);
 
-    /** One knot: one SimEngine::run. */
+    /** One knot: one SimEngine::run.  Throws std::invalid_argument
+     *  unless @p x has 2n entries and @p u has n. */
     void linearize(const linalg::Vector &x, const linalg::Vector &u,
                    double dt, linalg::Matrix &a, linalg::Matrix &b) override;
 
@@ -54,7 +55,9 @@ class AcceleratorLinearizer : public DynamicsLinearizer
      * The host front end at every knot, then one SimEngine::run_batch over
      * the whole horizon, so full groups of knots run through the SIMD lane
      * backend.  Bit-identical to linearize() knot by knot, under the
-     * lanes' 0-ulp contract (accel/simd_lanes.h).
+     * lanes' 0-ulp contract (accel/simd_lanes.h).  Throws
+     * std::invalid_argument, before any knot runs, when the spans differ
+     * in length or a knot's state or control has the wrong size.
      */
     void linearize_horizon(std::span<const linalg::Vector> states,
                            std::span<const linalg::Vector> controls,

@@ -125,8 +125,11 @@ DynamicsLinearizer::linearize_horizon(std::span<const Vector> states,
                                       double dt, std::span<Matrix> a,
                                       std::span<Matrix> b)
 {
-    assert(states.size() == controls.size() && a.size() == controls.size() &&
-           b.size() == controls.size());
+    if (states.size() != controls.size() || a.size() != controls.size() ||
+        b.size() != controls.size())
+        throw std::invalid_argument(
+            "linearize_horizon: states, controls, a and b need one entry "
+            "per knot");
     for (std::size_t k = 0; k < controls.size(); ++k)
         linearize(states[k], controls[k], dt, a[k], b[k]);
 }

@@ -83,7 +83,8 @@ class DynamicsLinearizer
      * Linearizes every knot k of a horizon at (@p states[k],
      * @p controls[k]) into @p a[k] and @p b[k]; all four spans have one
      * entry per knot.  The default calls linearize() knot by knot, so a
-     * backend only overrides this to batch the horizon.
+     * backend only overrides this to batch the horizon.  Throws
+     * std::invalid_argument when the spans differ in length.
      */
     virtual void linearize_horizon(std::span<const linalg::Vector> states,
                                    std::span<const linalg::Vector> controls,

@@ -7,6 +7,8 @@
 
 #include <cmath>
 
+#include "linalg/tiles.h"
+
 namespace roboshape {
 namespace linalg {
 
@@ -68,29 +70,63 @@ Ldlt::solve(const Matrix &b) const
     return x;
 }
 
+namespace {
+
+/**
+ * One C-column tile of one row's substitution step: row[c] is divided by
+ * *divisor (when given), then has coef(k) * x(k, c) subtracted for k in
+ * [k_begin, k_end) ascending, where coef(k) = coef[k * coef_stride] and
+ * x(k, c) = x[k * ldx + c].  The row stays in registers throughout and
+ * is stored once.
+ */
+template <std::size_t C>
+void
+substitute_row(double *row, const double *divisor, const double *coef,
+               std::size_t coef_stride, const double *x, std::size_t ldx,
+               std::size_t k_begin, std::size_t k_end)
+{
+    double acc[C];
+    for (std::size_t c = 0; c < C; ++c)
+        acc[c] = row[c];
+    if (divisor != nullptr)
+        for (std::size_t c = 0; c < C; ++c)
+            acc[c] /= *divisor;
+    for (std::size_t k = k_begin; k < k_end; ++k) {
+        const double lk = coef[k * coef_stride];
+        for (std::size_t c = 0; c < C; ++c)
+            acc[c] -= lk * x[k * ldx + c];
+    }
+    for (std::size_t c = 0; c < C; ++c)
+        row[c] = acc[c];
+}
+
+} // namespace
+
 void
 Ldlt::solve_in_place(Matrix &b) const
 {
     assert(ok_ && b.rows() == d_.size());
     const std::size_t n = d_.size();
     const std::size_t m = b.cols();
-    // Row operations over all columns; per column, the same sequence of
-    // updates as the vector solve above.
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t k = 0; k < i; ++k) {
-            const double lik = l_(i, k);
-            for (std::size_t c = 0; c < m; ++c)
-                b(i, c) -= lik * b(k, c);
-        }
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t c = 0; c < m; ++c)
-            b(i, c) /= d_[i];
-    for (std::size_t ii = n; ii-- > 0;)
-        for (std::size_t k = ii + 1; k < n; ++k) {
-            const double lki = l_(k, ii);
-            for (std::size_t c = 0; c < m; ++c)
-                b(ii, c) -= lki * b(k, c);
-        }
+    if (n == 0)
+        return; // no rows, and no storage to offset the tiles into
+    const double *l = l_.data().data();
+    const double *d = d_.data().data();
+    double *x = b.data().data();
+    // Columns are independent, so each column tile runs the whole solve;
+    // per column, the same sequence of updates as the vector solve above.
+    tiles::for_each_column_tile(m, [&](auto width, std::size_t j) {
+        constexpr std::size_t w = decltype(width)::value;
+        double *xj = x + j;
+        // Forward substitution, L y = b; row 0 has no terms.
+        for (std::size_t i = 1; i < n; ++i)
+            substitute_row<w>(xj + i * m, nullptr, l + i * n, 1, xj, m, 0, i);
+        // Diagonal and backward substitution, D z = y and L^T x = z: row
+        // i is divided by d(i), then takes its terms from the final rows
+        // below it, so it sees the vector solve's operations in order.
+        for (std::size_t i = n; i-- > 0;)
+            substitute_row<w>(xj + i * m, d + i, l + i, n, xj, m, i + 1, n);
+    });
 }
 
 Matrix

@@ -49,9 +49,12 @@ class Ldlt
 
     /**
      * Solves A X = B for every column of @p b at once, overwriting @p b
-     * with X.  Each column sees exactly the operations, in the same order,
-     * of solve(const Vector &), so results are bit-identical to per-column
-     * solves.
+     * with X.  Each entry b(i, c) applies its terms in the order of
+     * solve(const Vector &): it subtracts L(i, k) b(k, c) for ascending
+     * k < i, is divided by d(i), then subtracts L(k, i) b(k, c) for
+     * ascending k > i.  No term is skipped.  Rows are held in register
+     * tiles of columns while k ascends, an implementation detail that
+     * reorders no sum, so results are bit-identical to per-column solves.
      */
     void solve_in_place(Matrix &b) const;
 

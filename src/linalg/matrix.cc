@@ -9,6 +9,9 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
+
+#include "linalg/tiles.h"
 
 namespace roboshape {
 namespace linalg {
@@ -267,38 +270,85 @@ operator<<(std::ostream &os, const Vector &v)
     return os << "]";
 }
 
+namespace {
+
+/** Rows of a product tile; a trailing odd row takes a one-row tile. */
+constexpr std::size_t kTileRows = 2;
+
+/**
+ * One R x C tile of a product: out(r, c) = sum over k of
+ * op(a)(r, k) * b(k, c), where op(a)(r, k) = a[r * row_stride +
+ * k * k_stride], b(k, c) = b[k * ldb + c] and out(r, c) =
+ * out[r * ldo + c].  Each entry starts at +0 and adds its terms in
+ * ascending k; a zero op(a)(r, k) skips row r's term, never the tile's.
+ */
+template <std::size_t R, std::size_t C>
+void
+product_tile(const double *a, std::size_t row_stride, std::size_t k_stride,
+             std::size_t depth, const double *b, std::size_t ldb,
+             double *out, std::size_t ldo)
+{
+    double acc[R][C] = {};
+    for (std::size_t k = 0; k < depth; ++k) {
+        const double *bk = b + k * ldb;
+        for (std::size_t r = 0; r < R; ++r) {
+            const double ark = a[r * row_stride + k * k_stride];
+            if (ark == 0.0)
+                continue;
+            for (std::size_t c = 0; c < C; ++c)
+                acc[r][c] += ark * bk[c];
+        }
+    }
+    for (std::size_t r = 0; r < R; ++r)
+        for (std::size_t c = 0; c < C; ++c)
+            out[r * ldo + c] = acc[r][c];
+}
+
+/**
+ * out = op(a) * b for the rows x depth operand op(a)(i, k) =
+ * a[i * row_stride + k * k_stride]: (a.cols(), 1) reads a, (1, a.cols())
+ * reads a^T without forming it.
+ */
+void
+tiled_product(const Matrix &a, std::size_t rows, std::size_t depth,
+              std::size_t row_stride, std::size_t k_stride, const Matrix &b,
+              Matrix &out)
+{
+    const std::size_t cols = b.cols();
+    out.resize(rows, cols);
+    if (depth == 0)
+        return; // every entry is the empty sum, +0
+    const double *pa = a.data().data();
+    const double *pb = b.data().data();
+    double *po = out.data().data();
+    const auto row_block = [&](auto height, std::size_t i) {
+        tiles::for_each_column_tile(cols, [&](auto width, std::size_t j) {
+            product_tile<decltype(height)::value, decltype(width)::value>(
+                pa + i * row_stride, row_stride, k_stride, depth, pb + j,
+                cols, po + i * cols + j, cols);
+        });
+    };
+    std::size_t i = 0;
+    for (; i + kTileRows <= rows; i += kTileRows)
+        row_block(std::integral_constant<std::size_t, kTileRows>{}, i);
+    if (i < rows)
+        row_block(std::integral_constant<std::size_t, 1>{}, i);
+}
+
+} // namespace
+
 void
 multiply_into(const Matrix &a, const Matrix &b, Matrix &out)
 {
     assert(a.cols() == b.rows() && &out != &a && &out != &b);
-    out.resize(a.rows(), b.cols());
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        for (std::size_t k = 0; k < a.cols(); ++k) {
-            const double aik = a(i, k);
-            if (aik == 0.0)
-                continue;
-            for (std::size_t j = 0; j < b.cols(); ++j)
-                out(i, j) += aik * b(k, j);
-        }
-    }
+    tiled_product(a, a.rows(), a.cols(), a.cols(), 1, b, out);
 }
 
 void
 transposed_multiply_into(const Matrix &a, const Matrix &b, Matrix &out)
 {
     assert(a.rows() == b.rows() && &out != &a && &out != &b);
-    out.resize(a.cols(), b.cols());
-    // k outermost keeps every access row-contiguous; each out(i, j) still
-    // accumulates its terms in ascending k, as operator* on a^T does.
-    for (std::size_t k = 0; k < a.rows(); ++k) {
-        for (std::size_t i = 0; i < a.cols(); ++i) {
-            const double aki = a(k, i);
-            if (aki == 0.0)
-                continue;
-            for (std::size_t j = 0; j < b.cols(); ++j)
-                out(i, j) += aki * b(k, j);
-        }
-    }
+    tiled_product(a, a.cols(), a.rows(), 1, a.cols(), b, out);
 }
 
 void

@@ -229,15 +229,24 @@ std::ostream &operator<<(std::ostream &os, const Vector &v);
 /**
  * @p out = @p a * @p b, written into @p out's existing storage: once
  * @p out has held a product of this size the call allocates nothing.
- * Same loop order and zero skip as Matrix::operator*, which calls it.
- * @p out must not alias an operand.
+ * Matrix::operator* calls it.  @p out must not alias an operand.
+ *
+ * Per-entry contract: each out(i, j) starts at +0 and adds
+ * a(i, k) * b(k, j) in ascending k, except that a term whose a(i, k) is
+ * zero (of either sign) is skipped.  The skip is per entry of a, so a
+ * non-finite b(k, j) never reaches a row i whose a(i, k) is zero.  The
+ * kernel holds blocks of out in register tiles while k ascends; that is
+ * an implementation detail that neither splits nor reorders any sum, so
+ * results are bit-identical to the plain loop for every input.
  */
 void multiply_into(const Matrix &a, const Matrix &b, Matrix &out);
 
 /**
  * @p out = @p a^T * @p b without forming a^T, allocation-free like
- * multiply_into.  Bit-identical to `a.transposed() * b`, including its
- * skip of zero entries of a^T.  @p out must not alias an operand.
+ * multiply_into and under its per-entry contract for a^T: each
+ * out(i, j) starts at +0 and adds a(k, i) * b(k, j) in ascending k,
+ * skipping the terms whose a(k, i) is zero.  So it is bit-identical to
+ * `a.transposed() * b`.  @p out must not alias an operand.
  */
 void transposed_multiply_into(const Matrix &a, const Matrix &b, Matrix &out);
 

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "dynamics/aba.h"
 #include "dynamics/fd_derivatives.h"
 #include "dynamics/robot_state.h"
+#include "linalg/random.h"
 #include "topology/parametric_robots.h"
 #include "topology/robot_library.h"
 
@@ -107,21 +110,30 @@ TEST(Ilqr, TimingBreakdownIsAccounted)
     const TopologyInfo topo(m);
     IlqrOptions options;
     options.max_iterations = 4;
-    const IlqrResult r =
-        solve_ilqr(m, topo, reach_problem(m, 0.2, 8), options);
-    EXPECT_GT(r.timing.total_us, 0.0);
-    EXPECT_GT(r.timing.linearization_us, 0.0);
-    EXPECT_GT(r.timing.rollout_us, 0.0);
-    EXPECT_GT(r.timing.backward_pass_us, 0.0);
-    // Phases never exceed the total.
-    EXPECT_LE(r.timing.linearization_us + r.timing.backward_pass_us +
-                  r.timing.rollout_us,
-              r.timing.total_us * 1.05);
+    // The share is asserted on the median of five solves: a phase
+    // descheduled on a loaded host skews one solve's wall-clock share,
+    // not the median.
+    std::vector<double> shares;
+    for (int solve = 0; solve < 5; ++solve) {
+        const IlqrResult r =
+            solve_ilqr(m, topo, reach_problem(m, 0.2, 8), options);
+        EXPECT_GT(r.timing.total_us, 0.0);
+        EXPECT_GT(r.timing.linearization_us, 0.0);
+        EXPECT_GT(r.timing.rollout_us, 0.0);
+        EXPECT_GT(r.timing.backward_pass_us, 0.0);
+        // Phases never exceed the total.
+        EXPECT_LE(r.timing.linearization_us + r.timing.backward_pass_us +
+                      r.timing.rollout_us,
+                  r.timing.total_us * 1.05);
+        shares.push_back(r.timing.gradient_fraction());
+    }
+    std::sort(shares.begin(), shares.end());
+    const double median_share = shares[2];
     // The paper's motivating claim: gradients are a major share of the
     // solve (30-90% in the paper; timing noise on tiny solves allows a
     // little slack here — bench/control_bottleneck measures it properly).
-    EXPECT_GT(r.timing.gradient_fraction(), 0.15);
-    EXPECT_LT(r.timing.gradient_fraction(), 0.95);
+    EXPECT_GT(median_share, 0.15);
+    EXPECT_LT(median_share, 0.95);
 }
 
 TEST(Ilqr, CostFunctionMatchesManualSum)
@@ -248,6 +260,242 @@ TEST(Ilqr, CostHistoryMatchesPinnedRiccatiPass)
     }
 }
 
+/** A seeded tracking problem of the shape perfbench's ilqr_stream
+ *  solves: a start near zero, a goal up to 0.5 rad away, horizon 8. */
+IlqrProblem
+seeded_problem(const RobotModel &model, std::uint32_t seed)
+{
+    const std::size_t n = model.num_links();
+    IlqrProblem p;
+    p.q0 = linalg::random_vector(n, seed, -0.4, 0.4);
+    p.qd0 = linalg::random_vector(n, seed + 1, -0.2, 0.2);
+    p.q_goal = p.q0 + linalg::random_vector(n, seed + 2, -0.5, 0.5);
+    p.horizon = 8;
+    return p;
+}
+
+/**
+ * The Riccati backward pass of docs/ALGORITHMS.md over all n links at
+ * once, written in plain loops: no linalg kernel and no limb split.
+ * Each product and vector sum starts at 0 and adds every term, zero or
+ * not, in ascending order; LDL^T and the substitutions follow the
+ * textbook recurrences; the value update is the two-term form, then
+ * symmetrized.  False when Quu is not positive definite at some knot.
+ */
+bool
+textbook_riccati_pass(const IlqrProblem &p, const std::vector<Vector> &xs,
+                      const std::vector<Vector> &us,
+                      const std::vector<Matrix> &a,
+                      const std::vector<Matrix> &b, double mu,
+                      std::vector<Vector> &ff, std::vector<Matrix> &gain)
+{
+    const std::size_t n = p.q_goal.size();
+    const std::size_t s = 2 * n;
+    const std::size_t horizon = us.size();
+    Vector vx(s);
+    Matrix vxx(s, s);
+    const Vector &xt = xs[horizon];
+    for (std::size_t i = 0; i < n; ++i) {
+        vx[i] = p.w_terminal * (xt[i] - p.q_goal[i]);
+        vx[n + i] = p.w_qd * xt[n + i];
+        vxx(i, i) = p.w_terminal;
+        vxx(n + i, n + i) = p.w_qd;
+    }
+    for (std::size_t kk = horizon; kk-- > 0;) {
+        const Matrix &A = a[kk];
+        const Matrix &B = b[kk];
+        const Vector &x = xs[kk];
+        const Vector &u = us[kk];
+
+        // A^T Vxx, B^T Vxx, Qx = A^T Vx, Qu = B^T Vx.
+        Matrix at_v(s, s), bt_v(n, s);
+        Vector qx(s), qu(n);
+        for (std::size_t i = 0; i < s; ++i) {
+            for (std::size_t j = 0; j < s; ++j) {
+                double acc = 0.0;
+                for (std::size_t r = 0; r < s; ++r)
+                    acc += A(r, i) * vxx(r, j);
+                at_v(i, j) = acc;
+            }
+            double acc = 0.0;
+            for (std::size_t r = 0; r < s; ++r)
+                acc += A(r, i) * vx[r];
+            qx[i] = acc;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < s; ++j) {
+                double acc = 0.0;
+                for (std::size_t r = 0; r < s; ++r)
+                    acc += B(r, i) * vxx(r, j);
+                bt_v(i, j) = acc;
+            }
+            double acc = 0.0;
+            for (std::size_t r = 0; r < s; ++r)
+                acc += B(r, i) * vx[r];
+            qu[i] = acc;
+        }
+
+        // Qxx = (A^T Vxx) A, Quu = (B^T Vxx) B, Qux = (B^T Vxx) A.
+        Matrix qxx(s, s), quu(n, n), qux(n, s);
+        for (std::size_t i = 0; i < s; ++i)
+            for (std::size_t j = 0; j < s; ++j) {
+                double acc = 0.0;
+                for (std::size_t r = 0; r < s; ++r)
+                    acc += at_v(i, r) * A(r, j);
+                qxx(i, j) = acc;
+            }
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+                double acc = 0.0;
+                for (std::size_t r = 0; r < s; ++r)
+                    acc += bt_v(i, r) * B(r, j);
+                quu(i, j) = acc;
+            }
+            for (std::size_t j = 0; j < s; ++j) {
+                double acc = 0.0;
+                for (std::size_t r = 0; r < s; ++r)
+                    acc += bt_v(i, r) * A(r, j);
+                qux(i, j) = acc;
+            }
+        }
+
+        // The running cost's gradients and diagonal Hessians, then mu.
+        for (std::size_t i = 0; i < n; ++i) {
+            qx[i] += p.w_q * (x[i] - p.q_goal[i]);
+            qx[n + i] += p.w_qd * x[n + i];
+            qu[i] += p.w_u * u[i];
+            qxx(i, i) += p.w_q;
+            qxx(n + i, n + i) += p.w_qd;
+            quu(i, i) += p.w_u;
+            quu(i, i) += mu;
+        }
+
+        // Quu = L D L^T.
+        Matrix l(n, n);
+        Vector d(n);
+        for (std::size_t j = 0; j < n; ++j) {
+            double dj = quu(j, j);
+            for (std::size_t k = 0; k < j; ++k)
+                dj -= l(j, k) * l(j, k) * d[k];
+            if (!(dj > 0.0))
+                return false;
+            d[j] = dj;
+            l(j, j) = 1.0;
+            for (std::size_t i = j + 1; i < n; ++i) {
+                double lij = quu(i, j);
+                for (std::size_t k = 0; k < j; ++k)
+                    lij -= l(i, k) * l(j, k) * d[k];
+                l(i, j) = lij / dj;
+            }
+        }
+
+        // [k | K] = -Quu^-1 [Qu | Qux], one column at a time.
+        for (std::size_t c = 0; c <= s; ++c) {
+            Vector col(n);
+            for (std::size_t i = 0; i < n; ++i)
+                col[i] = c == 0 ? qu[i] : qux(i, c - 1);
+            for (std::size_t i = 0; i < n; ++i)
+                for (std::size_t k = 0; k < i; ++k)
+                    col[i] -= l(i, k) * col[k];
+            for (std::size_t i = 0; i < n; ++i)
+                col[i] /= d[i];
+            for (std::size_t i = n; i-- > 0;)
+                for (std::size_t k = i + 1; k < n; ++k)
+                    col[i] -= l(k, i) * col[k];
+            for (std::size_t i = 0; i < n; ++i) {
+                if (c == 0)
+                    ff[kk][i] = -col[i];
+                else
+                    gain[kk](i, c - 1) = -col[i];
+            }
+        }
+
+        // Vx = Qx + Qux^T k, Vxx = Qxx + Qux^T K, then symmetrize.
+        for (std::size_t i = 0; i < s; ++i) {
+            double acc = 0.0;
+            for (std::size_t r = 0; r < n; ++r)
+                acc += qux(r, i) * ff[kk][r];
+            vx[i] = acc + qx[i];
+            for (std::size_t j = 0; j < s; ++j) {
+                double acc_k = 0.0;
+                for (std::size_t r = 0; r < n; ++r)
+                    acc_k += qux(r, i) * gain[kk](r, j);
+                vxx(i, j) = acc_k + qxx(i, j);
+            }
+        }
+        for (std::size_t i = 0; i < s; ++i)
+            for (std::size_t j = i + 1; j < s; ++j) {
+                const double sym = (vxx(i, j) + vxx(j, i)) * 0.5;
+                vxx(i, j) = sym;
+                vxx(j, i) = sym;
+            }
+    }
+    return true;
+}
+
+TEST(Ilqr, RiccatiPassMatchesTextbookReference)
+{
+    // At real iterates of seeded solves of the six paper robots, the
+    // library pass (one recursion per limb, on the tiled linalg kernels)
+    // gives the same success flag and gains equal to the plain-loop pass
+    // over all links.  Entries that couple two limbs, which the library
+    // leaves at their zeros, are exact zeros in the reference too.
+    for (const RobotId id : topology::all_robots()) {
+        const RobotModel m = build_robot(id);
+        const TopologyInfo topo(m);
+        const std::size_t n = m.num_links();
+        const IlqrProblem problem =
+            seeded_problem(m, 10 * static_cast<std::uint32_t>(id) + 3);
+        RiccatiWorkspace ws(topo.limb_spans());
+        for (const std::size_t iterations : {0u, 1u, 3u}) {
+            IlqrOptions options = fixed_work_options();
+            options.max_iterations = iterations;
+            const IlqrResult r = solve_ilqr(m, topo, problem, options);
+            std::vector<Matrix> a(problem.horizon), b(problem.horizon);
+            for (std::size_t k = 0; k < problem.horizon; ++k) {
+                Vector q(n), qd(n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    q[i] = r.states[k][i];
+                    qd[i] = r.states[k][n + i];
+                }
+                const auto g = dynamics::forward_dynamics_gradients(
+                    m, topo, q, qd, r.controls[k]);
+                discretize_gradients(g.dqdd_dq, g.dqdd_dqd, g.mass_inv,
+                                     problem.dt, a[k], b[k]);
+            }
+            // A negative regularization makes Quu indefinite: both passes
+            // must fail.
+            for (const double mu : {1e-6, 1e-2, -1e12}) {
+                std::vector<Vector> ff(problem.horizon, Vector(n));
+                std::vector<Vector> ff_ref = ff;
+                std::vector<Matrix> gain(problem.horizon, Matrix(n, 2 * n));
+                std::vector<Matrix> gain_ref = gain;
+                const bool ok = riccati_backward_pass(
+                    problem, r.states, r.controls, a, b, mu, ws, ff, gain);
+                const bool ok_ref = textbook_riccati_pass(
+                    problem, r.states, r.controls, a, b, mu, ff_ref,
+                    gain_ref);
+                const std::string what = m.name() + " iterate " +
+                                         std::to_string(iterations) +
+                                         " mu " + std::to_string(mu);
+                ASSERT_EQ(ok, ok_ref) << what;
+                EXPECT_EQ(ok, mu > 0.0) << what;
+                if (!ok)
+                    continue;
+                for (std::size_t k = 0; k < problem.horizon; ++k)
+                    for (std::size_t i = 0; i < n; ++i) {
+                        EXPECT_EQ(ff[k][i], ff_ref[k][i])
+                            << what << " knot " << k << " k " << i;
+                        for (std::size_t j = 0; j < 2 * n; ++j)
+                            EXPECT_EQ(gain[k](i, j), gain_ref[k](i, j))
+                                << what << " knot " << k << " K(" << i
+                                << ", " << j << ")";
+                    }
+            }
+        }
+    }
+}
+
 /** Restores automatic lane-backend detection when a test scope ends. */
 struct BackendGuard
 {
@@ -332,6 +580,77 @@ TEST(AcceleratorLinearizer, SolveMatchesHostLinearizerSolve)
             EXPECT_EQ(linearizer.calls(), accel.iterations * horizon) << what;
         }
     }
+}
+
+/** Counts linearize() calls and keeps the default linearize_horizon. */
+class CountingLinearizer : public DynamicsLinearizer
+{
+  public:
+    void
+    linearize(const Vector &, const Vector &, double, Matrix &,
+              Matrix &) override
+    {
+        ++calls;
+    }
+
+    std::size_t calls = 0;
+};
+
+TEST(Linearizers, RejectInputsOfTheWrongSize)
+{
+    // Both linearizers check the sizes they are handed in every build
+    // type (asserts compile out of RelWithDebInfo), before any knot runs.
+    const RobotModel m = build_robot(RobotId::kIiwa);
+    const std::size_t n = m.num_links();
+    std::vector<Vector> xs(3, Vector(2 * n));
+    std::vector<Vector> us(3, Vector(n));
+    std::vector<Matrix> a(3), b(3);
+    const auto short_xs = std::span<const Vector>(xs).first(2);
+    const auto short_us = std::span<const Vector>(us).first(2);
+    const auto short_a = std::span<Matrix>(a).first(2);
+    const auto short_b = std::span<Matrix>(b).first(2);
+
+    CountingLinearizer counting;
+    EXPECT_THROW(counting.linearize_horizon(short_xs, us, 0.01, a, b),
+                 std::invalid_argument);
+    EXPECT_THROW(counting.linearize_horizon(xs, short_us, 0.01, a, b),
+                 std::invalid_argument);
+    EXPECT_THROW(counting.linearize_horizon(xs, us, 0.01, short_a, b),
+                 std::invalid_argument);
+    EXPECT_THROW(counting.linearize_horizon(xs, us, 0.01, a, short_b),
+                 std::invalid_argument);
+    EXPECT_EQ(counting.calls, 0u);
+    counting.linearize_horizon(xs, us, 0.01, a, b);
+    EXPECT_EQ(counting.calls, 3u);
+
+    const accel::AcceleratorDesign design(m, {4, 4, 4});
+    AcceleratorLinearizer linearizer(design);
+    Matrix ak, bk;
+    EXPECT_THROW(linearizer.linearize(Vector(2 * n - 1), Vector(n), 0.01,
+                                      ak, bk),
+                 std::invalid_argument);
+    EXPECT_THROW(linearizer.linearize(Vector(2 * n), Vector(n + 1), 0.01,
+                                      ak, bk),
+                 std::invalid_argument);
+    EXPECT_THROW(linearizer.linearize_horizon(short_xs, us, 0.01, a, b),
+                 std::invalid_argument);
+    EXPECT_THROW(linearizer.linearize_horizon(xs, short_us, 0.01, a, b),
+                 std::invalid_argument);
+    EXPECT_THROW(linearizer.linearize_horizon(xs, us, 0.01, short_a, b),
+                 std::invalid_argument);
+    EXPECT_THROW(linearizer.linearize_horizon(xs, us, 0.01, a, short_b),
+                 std::invalid_argument);
+    xs[1] = Vector(2 * n - 1);
+    EXPECT_THROW(linearizer.linearize_horizon(xs, us, 0.01, a, b),
+                 std::invalid_argument);
+    xs[1] = Vector(2 * n);
+    us[2] = Vector(n + 1);
+    EXPECT_THROW(linearizer.linearize_horizon(xs, us, 0.01, a, b),
+                 std::invalid_argument);
+    EXPECT_EQ(linearizer.calls(), 0u);
+    us[2] = Vector(n);
+    linearizer.linearize_horizon(xs, us, 0.01, a, b);
+    EXPECT_EQ(linearizer.calls(), 3u);
 }
 
 /** Limb index of every link of @p topo. */

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -114,8 +116,16 @@ TEST(Matrix, InPlaceProductsMatchAllocatingForms)
     EXPECT_EQ(max_abs_diff(vout, a.transposed() * v), 0.0);
 }
 
-/** Right-hand column counts that cover vector bodies and scalar tails. */
-constexpr std::size_t kKernelColumns[] = {1, 2, 3, 7, 8, 13, 31, 38};
+/** Output row counts: one full two-row tile, a tail row alone, full
+ *  tiles plus a tail row, and the 30 rows of Jaco-3's pass. */
+constexpr std::size_t kKernelRows[] = {1, 2, 3, 5, 30};
+
+/** Output column counts: every width below two full tiles of eight (so
+ *  each combination of the 4-, 2- and 1-column tail tiles), one column
+ *  either side of two full tiles, and the pass's 2m (m = 15) and
+ *  2m + 1 widths and HyQ+arm's 2n = 38. */
+constexpr std::size_t kKernelColumns[] = {1, 2,  3,  4,  5,  6,  7, 8,
+                                          9, 15, 16, 17, 30, 31, 38};
 
 /** Equal sizes and equal bits in every element. */
 ::testing::AssertionResult
@@ -133,7 +143,8 @@ bitwise_equal(const std::vector<double> &got, const std::vector<double> &want)
     return ::testing::AssertionSuccess();
 }
 
-/** A random matrix with a third of its entries zero, one of them -0. */
+/** A random matrix with a third of its entries zero, one of them -0.
+ *  Neighbouring rows have their zeros in different columns. */
 Matrix
 random_matrix_with_zeros(std::size_t rows, std::size_t cols,
                          std::uint32_t seed)
@@ -143,7 +154,8 @@ random_matrix_with_zeros(std::size_t rows, std::size_t cols,
         for (std::size_t j = 0; j < cols; ++j)
             if ((i + 2 * j) % 3 == 0)
                 m(i, j) = 0.0;
-    m(0, 0) = -0.0;
+    if (rows > 0 && cols > 0)
+        m(0, 0) = -0.0;
     return m;
 }
 
@@ -152,73 +164,124 @@ TEST(Matrix, InPlaceProductsMatchPlainLoopsBitwise)
     // References written out here, not the library's allocating forms
     // (which call the same kernels): each sum starts at 0 and adds every
     // term, zero or not, in ascending order.
-    for (const std::size_t cols : kKernelColumns) {
-        const std::string what = std::to_string(cols) + " columns";
-        const auto seed = static_cast<std::uint32_t>(cols);
-        const Matrix a = random_matrix_with_zeros(5, 9, seed);
-        const Matrix at = random_matrix_with_zeros(9, 5, seed + 1);
-        const Matrix b = random_matrix(9, cols, seed + 2);
-        const Matrix wide = random_matrix_with_zeros(9, cols, seed + 3);
-        const Vector v = random_vector(9, seed + 4);
+    for (const std::size_t rows : kKernelRows)
+        for (const std::size_t depth : {0u, 9u, 30u})
+            for (const std::size_t cols : kKernelColumns) {
+                const std::string what =
+                    std::to_string(rows) + "x" + std::to_string(depth) +
+                    " times " + std::to_string(depth) + "x" +
+                    std::to_string(cols);
+                const auto seed =
+                    static_cast<std::uint32_t>(1000 * rows + 40 * depth + cols);
+                const Matrix a = random_matrix_with_zeros(rows, depth, seed);
+                const Matrix at =
+                    random_matrix_with_zeros(depth, rows, seed + 1);
+                const Matrix b = random_matrix(depth, cols, seed + 2);
+                const Matrix wide =
+                    random_matrix_with_zeros(depth, cols, seed + 3);
+                const Vector v = random_vector(depth, seed + 4);
 
-        Matrix want(5, cols), want_t(5, cols);
-        Vector want_v(cols);
-        for (std::size_t i = 0; i < 5; ++i)
-            for (std::size_t j = 0; j < cols; ++j) {
-                double acc = 0.0, acc_t = 0.0;
-                for (std::size_t k = 0; k < 9; ++k) {
-                    acc += a(i, k) * b(k, j);
-                    acc_t += at(k, i) * b(k, j);
+                Matrix want(rows, cols), want_t(rows, cols);
+                Vector want_v(cols);
+                for (std::size_t i = 0; i < rows; ++i)
+                    for (std::size_t j = 0; j < cols; ++j) {
+                        double acc = 0.0, acc_t = 0.0;
+                        for (std::size_t k = 0; k < depth; ++k) {
+                            acc += a(i, k) * b(k, j);
+                            acc_t += at(k, i) * b(k, j);
+                        }
+                        want(i, j) = acc;
+                        want_t(i, j) = acc_t;
+                    }
+                for (std::size_t i = 0; i < cols; ++i) {
+                    double acc = 0.0;
+                    for (std::size_t k = 0; k < depth; ++k)
+                        acc += wide(k, i) * v[k];
+                    want_v[i] = acc;
                 }
-                want(i, j) = acc;
-                want_t(i, j) = acc_t;
-            }
-        for (std::size_t i = 0; i < cols; ++i) {
-            double acc = 0.0;
-            for (std::size_t k = 0; k < 9; ++k)
-                acc += wide(k, i) * v[k];
-            want_v[i] = acc;
-        }
 
-        Matrix out;
-        multiply_into(a, b, out);
-        EXPECT_EQ(out.rows(), 5u) << what;
-        EXPECT_TRUE(bitwise_equal(out.data(), want.data())) << what;
-        transposed_multiply_into(at, b, out);
-        EXPECT_EQ(out.rows(), 5u) << what;
-        EXPECT_TRUE(bitwise_equal(out.data(), want_t.data())) << what;
-        Vector vout;
-        transposed_multiply_into(wide, v, vout);
-        EXPECT_TRUE(bitwise_equal(vout.data(), want_v.data())) << what;
-    }
+                // Stale contents and shape in the output are overwritten.
+                Matrix out = random_matrix(3, 4, seed + 5);
+                multiply_into(a, b, out);
+                EXPECT_EQ(out.rows(), rows) << what;
+                EXPECT_TRUE(bitwise_equal(out.data(), want.data())) << what;
+                transposed_multiply_into(at, b, out);
+                EXPECT_EQ(out.rows(), rows) << what;
+                EXPECT_TRUE(bitwise_equal(out.data(), want_t.data()))
+                    << what;
+                Vector vout;
+                transposed_multiply_into(wide, v, vout);
+                EXPECT_TRUE(bitwise_equal(vout.data(), want_v.data()))
+                    << what;
+            }
+}
+
+TEST(Matrix, ZeroLeftEntriesSkipNonFiniteRightEntries)
+{
+    // The products skip a zero left-hand entry per output row, never per
+    // tile: rows 0 and 1 share every tile, row 0 has zeros (of either
+    // sign) in column k of the left operand and row 1 does not, and row
+    // k of the right operand is +inf.  Row 0 adds no term of row k, so
+    // it stays finite; row 1 adds one inf term and becomes +inf.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double zero : {0.0, -0.0})
+        for (const std::size_t cols : {3u, 15u, 17u}) {
+            const std::string what =
+                std::to_string(cols) + " columns, zero " +
+                std::to_string(zero);
+            constexpr std::size_t kDepth = 5, kInfRow = 2;
+            Matrix a = random_matrix(4, kDepth, 51, 0.5, 1.0);
+            Matrix b = random_matrix(kDepth, cols, 52);
+            a(0, kInfRow) = zero;
+            a(2, kInfRow) = zero;
+            for (std::size_t j = 0; j < cols; ++j)
+                b(kInfRow, j) = inf;
+            const Matrix at = a.transposed();
+
+            Matrix out, out_t;
+            multiply_into(a, b, out);
+            transposed_multiply_into(at, b, out_t);
+            for (const Matrix *m : {&out, &out_t})
+                for (std::size_t j = 0; j < cols; ++j) {
+                    for (const std::size_t zero_row : {0u, 2u})
+                        EXPECT_TRUE(std::isfinite((*m)(zero_row, j)))
+                            << what << " row " << zero_row << " col " << j;
+                    for (const std::size_t inf_row : {1u, 3u})
+                        EXPECT_EQ((*m)(inf_row, j), inf)
+                            << what << " row " << inf_row << " col " << j;
+                }
+        }
 }
 
 TEST(Ldlt, SolveInPlaceMatchesPlainSubstitutionBitwise)
 {
-    const Matrix spd = random_spd_matrix(7, 41);
-    const Ldlt f(spd);
-    ASSERT_TRUE(f.ok());
-    const Matrix &l = f.l();
-    for (const std::size_t cols : kKernelColumns) {
-        const Matrix b =
-            random_matrix(7, cols, static_cast<std::uint32_t>(cols) + 42);
-        // Forward substitution, diagonal, backward substitution, column
-        // by column.
-        Matrix want = b;
-        for (std::size_t c = 0; c < cols; ++c) {
-            for (std::size_t i = 0; i < 7; ++i)
-                for (std::size_t k = 0; k < i; ++k)
-                    want(i, c) -= l(i, k) * want(k, c);
-            for (std::size_t i = 0; i < 7; ++i)
-                want(i, c) /= f.d()[i];
-            for (std::size_t i = 7; i-- > 0;)
-                for (std::size_t k = i + 1; k < 7; ++k)
-                    want(i, c) -= l(k, i) * want(k, c);
+    for (const std::size_t n : kKernelRows) {
+        const Matrix spd =
+            random_spd_matrix(n, static_cast<std::uint32_t>(n) + 41);
+        const Ldlt f(spd);
+        ASSERT_TRUE(f.ok()) << n;
+        const Matrix &l = f.l();
+        for (const std::size_t cols : kKernelColumns) {
+            const Matrix b = random_matrix(
+                n, cols, static_cast<std::uint32_t>(100 * n + cols) + 42);
+            // Forward substitution, diagonal, backward substitution,
+            // column by column.
+            Matrix want = b;
+            for (std::size_t c = 0; c < cols; ++c) {
+                for (std::size_t i = 0; i < n; ++i)
+                    for (std::size_t k = 0; k < i; ++k)
+                        want(i, c) -= l(i, k) * want(k, c);
+                for (std::size_t i = 0; i < n; ++i)
+                    want(i, c) /= f.d()[i];
+                for (std::size_t i = n; i-- > 0;)
+                    for (std::size_t k = i + 1; k < n; ++k)
+                        want(i, c) -= l(k, i) * want(k, c);
+            }
+            Matrix x = b;
+            f.solve_in_place(x);
+            EXPECT_TRUE(bitwise_equal(x.data(), want.data()))
+                << n << " rows, " << cols << " columns";
         }
-        Matrix x = b;
-        f.solve_in_place(x);
-        EXPECT_TRUE(bitwise_equal(x.data(), want.data()))
-            << cols << " columns";
     }
 }
 
