@@ -1,7 +1,7 @@
 /**
  * @file
- * Executor throughput gates: the persistent work-stealing pool
- * (core::Executor) against the pre-executor spawn-join baseline.
+ * Executor throughput gates: the persistent pool (core::Executor)
+ * against the pre-executor spawn-join baseline.
  *
  * Two measured claims, both gated (ctest label "bench"):
  *
@@ -21,10 +21,12 @@
  *     schedules, cost growing with the knob) are timed individually; the
  *     bench then models the old static stride (worker t takes jobs t,
  *     t + W, ...) against the executor's chunked dynamic assignment
- *     (greedy list schedule of the same chunks stealing produces) and
- *     gates that the dynamic makespan is no worse.  The real executor
- *     run's exec.steals / exec.tasks counters are reported alongside the
- *     model so the JSON shows stealing actually happened.
+ *     (every lane claims the next chunk in ascending order when it frees
+ *     up, a greedy list schedule) and gates that the dynamic makespan is
+ *     no worse.  The real executor run's exec.tasks / exec.steals
+ *     counters are reported alongside the model so the JSON shows the
+ *     pool workers actually ran chunks (exec.steals counts the chunks
+ *     run off the submitting thread).
  *
  * Emits machine-readable JSON on stdout (and to `--json <path>`);
  * EXPERIMENTS.md ("Executor throughput") tracks the numbers.  Exit
@@ -212,8 +214,9 @@ static_stride_makespan(const std::vector<double> &costs, std::size_t w)
 /**
  * Makespan of the executor's chunked dynamic assignment: jobs are chunked
  * exactly as run_chunked chunks them (several chunks per lane), then list-
- * scheduled greedily — each chunk goes to the lane that frees up first,
- * which is what randomized stealing converges to.
+ * scheduled greedily in ascending chunk order, each chunk going to the
+ * lane that frees up first — the order in which the executor's lanes
+ * claim chunks from the region's shared counter.
  */
 double
 dynamic_chunked_makespan(const std::vector<double> &costs, std::size_t w)
@@ -346,8 +349,8 @@ main(int argc, char **argv)
     }
     const double improvement = static_ms / dynamic_ms;
 
-    // Real executor run of the same jobs: report the steal/task counters
-    // so the JSON shows dynamic rebalancing actually engaged.
+    // Real executor run of the same jobs: report the task and steal
+    // counters so the JSON shows the pool workers actually ran chunks.
     const std::uint64_t steals0 =
         obs::registry().counter("exec.steals").value();
     const std::uint64_t tasks0 =
@@ -376,7 +379,7 @@ main(int argc, char **argv)
     w.end_object();
     std::printf("shard balance (%zu-link chain, %zu jobs): static stride "
                 "%.1f us, dynamic %.1f us, %.2fx; executor ran %llu "
-                "stealable chunks, %llu steals\n",
+                "chunks, %llu off the submitting thread\n",
                 kChainLinks, costs.size(), static_ms * 1e6,
                 dynamic_ms * 1e6, improvement,
                 static_cast<unsigned long long>(tasks),

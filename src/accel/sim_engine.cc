@@ -293,6 +293,47 @@ SimEngine::compile_kinematics(const std::vector<const Placement *> &ops)
     }
 }
 
+void
+SimEngine::check_packet(const InputPacket &in) const
+{
+    switch (design_->kernel()) {
+      case sched::KernelKind::kDynamicsGradient:
+        if (!in.q || !in.qd || !in.qdd || !in.minv)
+            throw std::invalid_argument(
+                "gradient packet requires q, qd, qdd, and minv");
+        break;
+      case sched::KernelKind::kMassMatrix:
+        if (!in.q)
+            throw std::invalid_argument("mass-matrix packet requires q");
+        break;
+      case sched::KernelKind::kForwardKinematics:
+        if (!in.q || !in.qd)
+            throw std::invalid_argument(
+                "kinematics packet requires q and qd");
+        break;
+    }
+}
+
+void
+SimEngine::check_workspace(const Workspace &ws) const
+{
+    bool sized = true;
+    switch (design_->kernel()) {
+      case sched::KernelKind::kDynamicsGradient:
+        break;
+      case sched::KernelKind::kMassMatrix:
+        sized = ws.xup.size() == n_ && ws.ic_children.size() == n_ &&
+                ws.ic_total.size() == n_ && ws.f_walk.size() == n_;
+        break;
+      case sched::KernelKind::kForwardKinematics:
+        sized = ws.xup.size() == n_ && ws.carry.size() == n_ * n_;
+        break;
+    }
+    if (!sized)
+        throw std::invalid_argument(
+            "workspace is not sized for this engine; use make_workspace()");
+}
+
 SimEngine::Workspace
 SimEngine::make_workspace() const
 {
@@ -352,27 +393,17 @@ SimEngine::prepare(EngineResult &out) const
 void
 SimEngine::run(Workspace &ws, const InputPacket &in, EngineResult &out) const
 {
-    // Gradient workspaces size themselves; the others come sized.
-    assert((design_->kernel() == sched::KernelKind::kDynamicsGradient ||
-            ws.xup.size() == n_) &&
-           "workspace was not made by this engine");
+    check_packet(in);
+    check_workspace(ws);
     switch (design_->kernel()) {
       case sched::KernelKind::kDynamicsGradient:
-        if (!in.q || !in.qd || !in.qdd || !in.minv)
-            throw std::invalid_argument(
-                "gradient packet requires q, qd, qdd, and minv");
         run_gradient_group(&simd::run_gradient_lanes_scalar, 1, &in,
                            ws.lanes, &out);
         break;
       case sched::KernelKind::kMassMatrix:
-        if (!in.q)
-            throw std::invalid_argument("mass-matrix packet requires q");
         run_mass_matrix(ws, in, out);
         break;
       case sched::KernelKind::kForwardKinematics:
-        if (!in.q || !in.qd)
-            throw std::invalid_argument(
-                "kinematics packet requires q and qd");
         run_kinematics(ws, in, out);
         break;
     }
@@ -510,7 +541,13 @@ SimEngine::run_batch(std::span<const InputPacket> in,
                      std::span<EngineResult> out, BatchWorkspace &ws,
                      std::size_t threads) const
 {
-    assert(in.size() == out.size());
+    if (in.size() != out.size())
+        throw std::invalid_argument(
+            "run_batch needs one result slot per packet");
+    // run() must not throw inside an executor region, so every packet is
+    // checked up front (the lane path's workspaces size themselves).
+    for (const InputPacket &p : in)
+        check_packet(p);
     ROBOSHAPE_OBS_COUNT("sim.batch_calls", 1);
     ROBOSHAPE_OBS_COUNT("sim.batch_packets", in.size());
 
@@ -530,12 +567,14 @@ SimEngine::run_batch(std::span<const InputPacket> in,
     const std::size_t workers = exec.resolve_width(in.size(), threads);
     while (ws.per_thread.size() < workers)
         ws.per_thread.push_back(make_workspace());
+    for (std::size_t t = 0; t < workers; ++t)
+        check_workspace(ws.per_thread[t]);
     // The executor hands each packet to exactly one lane; a lane index is
     // exclusive to one OS thread for the whole region, so workspace[lane]
-    // is single-threaded even though stealing moves packets between
-    // lanes.  Results stay bit-identical at any width because a packet's
-    // output slot is fixed and a warm workspace never leaks state between
-    // runs (PR 2's zero-allocation contract).
+    // is single-threaded whichever lane claims a packet.  Results stay
+    // bit-identical at any width because a packet's output slot is fixed
+    // and a warm workspace never leaks state between runs (the
+    // zero-allocation contract).
     std::array<std::uint64_t, core::kMaxExecutorLanes> shard{};
     exec.parallel_for_lanes(
         in.size(),
@@ -556,13 +595,6 @@ SimEngine::run_batch_lanes(std::span<const InputPacket> in,
                            const simd::LaneBackend &backend,
                            std::size_t threads) const
 {
-    // Validate every packet before entering the parallel region; the lane
-    // kernels cannot raise per-packet errors mid-group.
-    for (const InputPacket &p : in)
-        if (!p.q || !p.qd || !p.qdd || !p.minv)
-            throw std::invalid_argument(
-                "gradient packet requires q, qd, qdd, and minv");
-
     const std::size_t width = backend.width;
     const std::size_t groups = in.size() / width;
     const std::size_t tail = in.size() - groups * width;
@@ -575,8 +607,8 @@ SimEngine::run_batch_lanes(std::span<const InputPacket> in,
     ROBOSHAPE_OBS_COUNT("sim.batch_tail_packets", tail);
 
     // Executor lane indices are exclusive to one OS thread per region, so
-    // each worker's lane workspace stays single-threaded under stealing,
-    // as in the shard path above.
+    // each worker's lane workspace stays single-threaded whichever lane
+    // claims a group, as in the shard path above.
     std::array<std::uint64_t, core::kMaxExecutorLanes> shard{};
     exec.parallel_for_lanes(
         groups,

@@ -27,9 +27,9 @@
  *    the same source that run_batch instantiates at width 4 and 8.
  *
  *  - run_batch() shards independent packets across the persistent
- *    work-stealing executor (core/executor.h) with one Workspace per
- *    lane.  Packets never share mutable state, so results are
- *    bit-identical at any thread count and steal interleaving.
+ *    executor (core/executor.h) with one Workspace per lane.  Packets
+ *    never share mutable state, so results are bit-identical at any
+ *    thread count and claim interleaving.
  *
  * All three Table 1 kernels are covered: the dynamics-gradient pipeline
  * (RNEA + dRNEA + blocked -M^-1 multiply), the CRBA mass matrix, and
@@ -187,14 +187,18 @@ class SimEngine
      * are warm (one prior run() with them).  Output fields are exactly
      * equal to the legacy simulate() / simulate_mass_matrix() /
      * simulate_forward_kinematics() results for the same design and order.
+     *
+     * @throws std::invalid_argument when @p in lacks a field the kernel
+     *         reads, or @p ws is not sized for this engine (e.g. made by
+     *         an engine of another kernel or link count).
      */
     void run(Workspace &ws, const InputPacket &in, EngineResult &out) const;
 
     /**
      * Executes @p in[i] into @p out[i] for every i, sharding packets over
-     * the persistent work-stealing executor.  Results are bit-identical
-     * to serial run() calls at any thread count: stealing reassigns which
-     * lane runs a packet, never where its output lands.
+     * the persistent executor.  Results are bit-identical to serial run()
+     * calls at any thread count: the executor decides which lane runs a
+     * packet, never where its output lands.
      *
      * Dynamics-gradient engines additionally route full groups of W
      * consecutive packets through the W-wide SIMD lane backend chosen by
@@ -203,9 +207,11 @@ class SimEngine
      * output bit; set ROBOSHAPE_SIMD=off (or build with
      * -DROBOSHAPE_SIMD=OFF) to force the one-packet-at-a-time path.
      *
-     * @param threads worker count; 0 defers to ROBOSHAPE_THREADS (or the
-     *        deprecated ROBOSHAPE_SWEEP_THREADS alias) / hardware
-     *        concurrency (see core::Executor::resolve_width).
+     * @param threads worker count; 0 defers to ROBOSHAPE_THREADS /
+     *        hardware concurrency (see core::Executor::resolve_width).
+     * @throws std::invalid_argument before any packet runs when
+     *         @p out.size() != @p in.size(), or on any packet or workspace
+     *         run() would reject.
      */
     void run_batch(std::span<const InputPacket> in,
                    std::span<EngineResult> out, BatchWorkspace &ws,
@@ -222,6 +228,9 @@ class SimEngine
     std::uint32_t intern_root_path(std::size_t link);
 
     void prepare(EngineResult &out) const;
+    /** Throw std::invalid_argument on what run() must not execute. */
+    void check_packet(const InputPacket &in) const;
+    void check_workspace(const Workspace &ws) const;
     /** SIMD group path of run_batch (gradient engines, backend width W). */
     void run_batch_lanes(std::span<const InputPacket> in,
                          std::span<EngineResult> out, BatchWorkspace &ws,

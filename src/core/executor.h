@@ -1,15 +1,14 @@
 /**
  * @file
- * Persistent work-stealing executor (docs/PARALLELISM.md).
+ * Persistent chunked executor (docs/PARALLELISM.md).
  *
  * Every parallel region in the pipeline — sweep precompute,
  * `SimEngine::run_batch` shards, fuzz iterations — used to spawn and join
  * fresh `std::thread`s per call and statically stride the index space.
  * The executor replaces that with one process-lifetime pool of parked
- * workers fed through per-worker Chase-Lev deques: submitting a region
- * wakes the workers, idle workers steal from busy ones (randomized victim
- * order), and the pool parks again when the region drains.  Two
- * consequences:
+ * workers: submitting a region wakes the workers, every lane claims the
+ * region's chunks in ascending order from one shared counter, and the
+ * pool parks again when the region drains.  Two consequences:
  *
  *  - Fork-join overhead is paid once per process, not once per call.
  *    Waking a parked worker is a futex, not a clone(2) — small batches
@@ -17,14 +16,15 @@
  *
  *  - Irregular task costs (hyper-redundant robots, heterogeneous schedule
  *    jobs) no longer idle the workers whose static stride happened to get
- *    the cheap indices; stealing rebalances at chunk granularity.
+ *    the cheap indices; a lane that frees up claims the next chunk, so
+ *    balance holds at chunk granularity.
  *
- * Determinism contract (the guarantee every caller relies on): stealing
+ * Determinism contract (the guarantee every caller relies on): claiming
  * may reorder *execution*, never *writes*.  `parallel_for` hands index i
  * to exactly one task, the callback may only write state owned by index i
  * (or by its lane, see below), and the caller observes all writes after
  * the region returns.  Outputs are therefore bit-identical at any worker
- * count, on any steal interleaving — the property the sweep and run_batch
+ * count, on any claim interleaving — the property the sweep and run_batch
  * equivalence suites assert.
  *
  * Lanes: a region runs on `width` lanes, lane 0 being the calling thread
@@ -41,14 +41,14 @@
  * thread.
  *
  * Worker count: `ROBOSHAPE_THREADS` (validated; garbage values warn once
- * on stderr and fall back), else the deprecated `ROBOSHAPE_SWEEP_THREADS`
- * alias, else hardware concurrency.  A region may request more lanes than
- * cores (tests force {2, 7}); the pool grows up to `kMaxExecutorLanes`.
+ * on stderr and fall back), else hardware concurrency.  A region may
+ * request more lanes than cores (tests force {2, 7}); the pool grows up
+ * to `kMaxExecutorLanes`.
  *
  * Observability: counters `exec.regions`, `exec.tasks` (chunks run),
- * `exec.steals`, `exec.parks`, histogram `exec.queue_depth_peak`, and
- * per-worker wall spans (`exec.worker`, category "exec") when wall
- * tracing is on.
+ * `exec.steals` (chunks run by a pool worker rather than the submitting
+ * thread), `exec.parks`, and per-worker wall spans (`exec.worker`,
+ * category "exec") when wall tracing is on.
  */
 
 #ifndef ROBOSHAPE_CORE_EXECUTOR_H
@@ -72,9 +72,9 @@ class Executor
     static Executor &instance();
 
     /**
-     * Lanes a default-width region uses: the validated ROBOSHAPE_THREADS /
-     * ROBOSHAPE_SWEEP_THREADS override when set, else hardware
-     * concurrency, capped at kMaxExecutorLanes.  Re-reads the environment
+     * Lanes a default-width region uses: the validated ROBOSHAPE_THREADS
+     * override when set, else hardware concurrency, capped at
+     * kMaxExecutorLanes.  Re-reads the environment
      * on each call (cheap; benches call it once for reporting).
      */
     std::size_t worker_count() const;

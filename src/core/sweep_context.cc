@@ -126,7 +126,7 @@ SweepContext::precompute_stage_schedules(std::size_t threads)
     const std::size_t mm_jobs = mm_.size();
     // Job layout: [0, n) forward, [n, 2n) backward, [2n, 2n + mm) blocked
     // multiply.  Each job owns exactly one cache slot, so no lock is needed
-    // at any steal interleaving; already-filled slots are kept.  This is
+    // at any claim interleaving; already-filled slots are kept.  This is
     // the one executor region of a DesignSpace sweep.
     Executor::instance().parallel_for(
         2 * n + mm_jobs,

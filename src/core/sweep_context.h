@@ -15,7 +15,7 @@
  * all; it is computed lazily for full designs only).
  *
  * Thread-safety: precompute_stage_schedules() fills the single-knob caches
- * across the work-stealing executor (each cache slot is written by exactly
+ * across the executor's lanes (each cache slot is written by exactly
  * one job, no locks).  The lazy accessors mutate the caches and must not
  * race each other; call them from one thread, or precompute first, after
  * which reads are safe from any number of threads.
@@ -105,8 +105,8 @@ class SweepContext
     /**
      * Fills the forward, backward, and blocked-multiply caches (the
      * single-knob schedules every sweep point needs) across the executor
-     * with @p threads workers (0 = ROBOSHAPE_THREADS — or the deprecated
-     * ROBOSHAPE_SWEEP_THREADS alias — or hardware concurrency).
+     * with @p threads workers (0 = ROBOSHAPE_THREADS or hardware
+     * concurrency).
      * Afterwards the corresponding accessors are read-only and safe to
      * call concurrently.
      */

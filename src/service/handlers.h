@@ -29,7 +29,7 @@
  * HttpRequest and return one HttpResponse, so the whole surface is unit-
  * testable without sockets.  Compute-heavy endpoints share the process-
  * wide DesignCache; a cold sweep's schedule precompute runs as one
- * parallel_for region on the core::Executor's one work-stealing pool.
+ * parallel_for region on the core::Executor's one worker pool.
  * The executor admits one top-level region at a time (run_chunked holds
  * its region mutex), so the precomputes of concurrent cold sweeps queue
  * behind each other rather than share the pool; ROADMAP item 2 takes

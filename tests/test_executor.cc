@@ -1,9 +1,10 @@
 /**
  * @file
- * Suite for the persistent work-stealing executor (core::Executor), whose
- * every region is a chunked parallel_for: index coverage and lane
- * exclusivity, byte-identical sweep and run_batch outputs across thread
- * counts {1, 2, 7, hw} and repeated runs under stealing, env-var
+ * Suite for the persistent executor (core::Executor), whose every region
+ * is a chunked parallel_for claimed from one shared counter: index
+ * coverage, lane exclusivity, idle lanes taking over a blocked lane's
+ * chunks, the exec.* counters, byte-identical sweep and run_batch outputs
+ * across thread counts {1, 2, 7, hw} and repeated runs, env-var
  * validation, and a counting-operator-new proof that warm submissions
  * never touch the heap.
  */
@@ -11,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "accel/sim_engine.h"
@@ -22,6 +25,7 @@
 #include "dynamics/fd_derivatives.h"
 #include "dynamics/robot_state.h"
 #include "linalg/matrix.h"
+#include "obs/registry.h"
 #include "topology/parametric_robots.h"
 #include "topology/robot_library.h"
 #include "topology/topology_info.h"
@@ -200,6 +204,37 @@ TEST(ExecutorParallelFor, NestedCallsRunInlineWithoutDeadlock)
         EXPECT_EQ(hits[k].load(), 1);
 }
 
+TEST(ExecutorParallelFor, IdleLanesRunABlockedLanesChunks)
+{
+    // 2 x width indices is one index per chunk for any kChunksPerLane >= 2.
+    // Index 0 blocks until the other seven have run, so the lanes that are
+    // free must take them; a static stride would leave index 4 to the lane
+    // blocked in index 0 and never finish.
+    constexpr std::size_t kWidth = 4;
+    constexpr std::size_t kCount = 2 * kWidth;
+    constexpr int kDeadlineMs = 30000; // fail instead of hanging
+    std::atomic<std::size_t> done{0};
+    std::vector<std::atomic<int>> hits(kCount);
+    Executor::instance().parallel_for(
+        kCount,
+        [&](std::size_t i) {
+            for (int waited_ms = 0; i == 0 && done.load() < kCount - 1;
+                 ++waited_ms) {
+                if (waited_ms == kDeadlineMs) {
+                    ADD_FAILURE() << "the other indices never ran";
+                    break;
+                }
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+            hits[i].fetch_add(1);
+            done.fetch_add(1);
+        },
+        kWidth);
+    EXPECT_EQ(done.load(), kCount);
+    for (std::size_t i = 0; i < kCount; ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
 TEST(ExecutorParallelFor, ZeroCountReturnsImmediately)
 {
     bool ran = false;
@@ -243,7 +278,7 @@ expect_points_identical(const std::vector<DesignPoint> &a,
 TEST(ExecutorDeterminism, SweepPointsIdenticalAcrossThreadCounts)
 {
     // An irregular topology (branching quadruped) and a deep serial chain
-    // exercise heterogeneous job costs, i.e. real stealing.
+    // exercise heterogeneous job costs, so lanes claim uneven shares.
     const roboshape::topology::RobotModel models[] = {
         roboshape::topology::build_robot(
             roboshape::topology::RobotId::kHyq),
@@ -261,7 +296,7 @@ TEST(ExecutorDeterminism, SweepPointsIdenticalAcrossThreadCounts)
                                     m.name() + " at width " +
                                         std::to_string(width));
         }
-        // Repeated runs at one width must also agree (steal interleaving
+        // Repeated runs at one width must also agree (claim interleaving
         // differs run to run; outputs must not).
         for (int rep = 0; rep < 3; ++rep) {
             const DesignSpace space = DesignSpace::sweep(
@@ -334,8 +369,8 @@ TEST(ExecutorDeterminism, RunBatchIdenticalAcrossThreadCounts)
 
 // A warm executor must keep parallel_for submissions off the heap
 // entirely: the region descriptor is member storage, callbacks stay on
-// the caller's stack, deques are pre-sized, and the exec.* registry
-// entries are pre-registered by the constructor.
+// the caller's stack, and the exec.* registry entries are pre-registered
+// by the constructor.
 TEST(ExecutorAllocations, WarmParallelForIsAllocationFree)
 {
 #if !ROBOSHAPE_COUNT_ALLOCS
@@ -353,6 +388,42 @@ TEST(ExecutorAllocations, WarmParallelForIsAllocationFree)
     EXPECT_EQ(alloc_counter_read(), 0u);
     for (std::size_t i = 0; i < kCount; ++i)
         EXPECT_EQ(out[i], i + 7);
+}
+
+// ----------------------------------------------------------- counters ----
+
+TEST(ExecutorObs, StealsCountChunksRunOffTheSubmittingThread)
+{
+#ifdef ROBOSHAPE_NO_OBS
+    GTEST_SKIP() << "instrumentation compiled out";
+#endif
+    // 8 indices at width 4 are 8 one-index chunks, so exec.steals must
+    // grow by the indices whose callback ran on a lane other than 0.
+    constexpr std::size_t kRegions = 50;
+    constexpr std::size_t kWidth = 4;
+    constexpr std::size_t kCount = 2 * kWidth;
+    roboshape::obs::set_enabled(true);
+    auto &regions = roboshape::obs::registry().counter("exec.regions");
+    auto &tasks = roboshape::obs::registry().counter("exec.tasks");
+    auto &steals = roboshape::obs::registry().counter("exec.steals");
+    Executor &exec = Executor::instance();
+    for (std::size_t rep = 0; rep < kRegions; ++rep) {
+        const std::uint64_t regions0 = regions.value();
+        const std::uint64_t tasks0 = tasks.value();
+        const std::uint64_t steals0 = steals.value();
+        std::atomic<std::uint64_t> off_lane0{0};
+        exec.parallel_for_lanes(
+            kCount,
+            [&](std::size_t, std::size_t lane) {
+                if (lane != 0)
+                    off_lane0.fetch_add(1);
+            },
+            kWidth);
+        EXPECT_EQ(regions.value() - regions0, 1u) << "region " << rep;
+        EXPECT_EQ(tasks.value() - tasks0, kCount) << "region " << rep;
+        EXPECT_EQ(steals.value() - steals0, off_lane0.load())
+            << "region " << rep;
+    }
 }
 
 // ------------------------------------------------------ env validation ----
@@ -377,16 +448,6 @@ TEST_F(ExecutorEnv, ValidOverrideIsHonored)
     EXPECT_EQ(Executor::instance().worker_count(), 1u);
 }
 
-TEST_F(ExecutorEnv, NewNameWinsOverDeprecatedAlias)
-{
-    setenv("ROBOSHAPE_SWEEP_THREADS", "2", 1);
-    EXPECT_EQ(Executor::instance().worker_count(), 2u)
-        << "deprecated alias must still work";
-    setenv("ROBOSHAPE_THREADS", "5", 1);
-    EXPECT_EQ(Executor::instance().worker_count(), 5u)
-        << "ROBOSHAPE_THREADS must take precedence";
-}
-
 TEST_F(ExecutorEnv, GarbageValuesFallBackToDefault)
 {
     unsetenv("ROBOSHAPE_THREADS");
@@ -401,6 +462,10 @@ TEST_F(ExecutorEnv, GarbageValuesFallBackToDefault)
         EXPECT_EQ(Executor::instance().worker_count(), fallback)
             << "value '" << value << "' must be rejected";
     }
+    // The retired ROBOSHAPE_SWEEP_THREADS name is no longer read.
+    unsetenv("ROBOSHAPE_THREADS");
+    setenv("ROBOSHAPE_SWEEP_THREADS", fallback == 1 ? "2" : "1", 1);
+    EXPECT_EQ(Executor::instance().worker_count(), fallback);
 }
 
 TEST_F(ExecutorEnv, OverrideIsCappedAtMaxLanes)

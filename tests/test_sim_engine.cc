@@ -409,6 +409,93 @@ TEST(SimEngineBatch, BitIdenticalToSerialAtAnyThreadCount)
     }
 }
 
+// ------------------------------------------------------ input checks ----
+
+// Optimized builds compile asserts out, so a result span or workspace of
+// the wrong size must be rejected by a check that stays in every build.
+TEST(SimEngineInputs, RunBatchRejectsBadInputBeforeAnyWork)
+{
+    const RobotModel m = build_robot(RobotId::kHyq);
+    const TopologyInfo topo(m);
+    constexpr std::size_t kPackets = 10;
+    std::vector<RobotState> states;
+    std::vector<dynamics::ForwardDynamicsGradients> refs;
+    std::vector<InputPacket> gradient_packets, mass_packets;
+    for (std::size_t i = 0; i < kPackets; ++i) {
+        states.push_back(random_state(m, 300 + static_cast<int>(i)));
+        const RobotState &s = states.back();
+        refs.push_back(dynamics::forward_dynamics_gradients(m, topo, s.q,
+                                                            s.qd, s.tau));
+    }
+    for (std::size_t i = 0; i < kPackets; ++i) {
+        gradient_packets.push_back({&states[i].q, &states[i].qd,
+                                    &refs[i].qdd, &refs[i].mass_inv});
+        mass_packets.push_back({&states[i].q});
+    }
+
+    const AcceleratorDesign gradient(m, {4, 4, 4});
+    const AcceleratorDesign mass(m, {3, 3, 1}, default_timing(),
+                                 KernelKind::kMassMatrix);
+    for (const AcceleratorDesign *design : {&gradient, &mass}) {
+        const SimEngine engine(*design);
+        const std::vector<InputPacket> &packets =
+            design == &gradient ? gradient_packets : mass_packets;
+        std::vector<EngineResult> out(kPackets - 1);
+        SimEngine::BatchWorkspace batch;
+        EXPECT_THROW(engine.run_batch(packets, out, batch, 4),
+                     std::invalid_argument);
+        for (const EngineResult &r : out)
+            EXPECT_EQ(r.tau.size() + r.mass.rows(), 0u);
+    }
+
+    // A packet without q, and per-lane workspaces from a 7-link engine,
+    // would otherwise throw from inside the executor region.
+    const SimEngine engine(mass);
+    std::vector<EngineResult> out(kPackets);
+    std::vector<InputPacket> missing_q = mass_packets;
+    missing_q[kPackets / 2].q = nullptr;
+    SimEngine::BatchWorkspace batch;
+    EXPECT_THROW(engine.run_batch(missing_q, out, batch, 4),
+                 std::invalid_argument);
+    const RobotModel iiwa = build_robot(RobotId::kIiwa);
+    const AcceleratorDesign iiwa_mass(iiwa, {3, 3, 1}, default_timing(),
+                                      KernelKind::kMassMatrix);
+    const SimEngine iiwa_engine(iiwa_mass);
+    const RobotState iiwa_state = random_state(iiwa, 7);
+    const std::vector<InputPacket> iiwa_packets(kPackets,
+                                                InputPacket{&iiwa_state.q});
+    SimEngine::BatchWorkspace iiwa_batch;
+    iiwa_engine.run_batch(iiwa_packets, out, iiwa_batch, 4);
+    EXPECT_THROW(engine.run_batch(mass_packets, out, iiwa_batch, 4),
+                 std::invalid_argument);
+}
+
+TEST(SimEngineInputs, RunRejectsWorkspacesOfAnotherEngine)
+{
+    const RobotModel iiwa = build_robot(RobotId::kIiwa); // 7 links
+    const RobotModel hyq = build_robot(RobotId::kHyq);   // 12 links
+    const RobotState s = random_state(hyq, 5);
+    const AcceleratorDesign iiwa_mass(iiwa, {3, 3, 1}, default_timing(),
+                                      KernelKind::kMassMatrix);
+    const AcceleratorDesign hyq_mass(hyq, {3, 3, 1}, default_timing(),
+                                     KernelKind::kMassMatrix);
+    const AcceleratorDesign hyq_kinematics(hyq, {4, 1, 1}, default_timing(),
+                                           KernelKind::kForwardKinematics);
+    const SimEngine iiwa_mass_engine(iiwa_mass);
+    const SimEngine hyq_mass_engine(hyq_mass);
+    const SimEngine hyq_kinematics_engine(hyq_kinematics);
+    EngineResult out;
+
+    auto small = iiwa_mass_engine.make_workspace();
+    EXPECT_THROW(hyq_mass_engine.run(small, InputPacket{&s.q}, out),
+                 std::invalid_argument);
+    // Same n, but a CRBA workspace has no kinematics carry buffer.
+    auto crba = hyq_mass_engine.make_workspace();
+    EXPECT_THROW(
+        hyq_kinematics_engine.run(crba, InputPacket{&s.q, &s.qd}, out),
+        std::invalid_argument);
+}
+
 // ---------------------------------------------------- allocation-free ----
 
 // After one warm-up run() with a given workspace/result pair, further

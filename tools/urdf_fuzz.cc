@@ -15,7 +15,7 @@
  * committed adversarial corpus (data/corpus/).  Mutations come from
  * io::mutate_urdf and are a pure function of the iteration index, so any
  * failure is reproducible with --replay <iteration>.  The mutation storm
- * shards iterations across the work-stealing executor (ROBOSHAPE_THREADS
+ * shards iterations across the persistent executor (ROBOSHAPE_THREADS
  * pins the width); the reported violation is the smallest violating
  * iteration index, replayed serially, so output is independent of the
  * worker count.
