@@ -13,8 +13,8 @@
  *     mean latency speedup over the batches that actually spawned
  *     (width > 1) at >= kForkJoinGate.  Outputs must stay bit-identical
  *     between the two paths — the speedup is not allowed to change a bit.
- *     The SIMD lane path is forced off so both paths run the identical
- *     scalar trace.
+ *     The scalar lane backend is forced so both paths run the identical
+ *     W = 1 kernel.
  *
  *  2. Shard balance on an irregular topology.  A hyper-redundant serial
  *     chain's sweep-precompute jobs (forward/backward/blocked-multiply
@@ -37,7 +37,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <span>
 #include <string>
@@ -45,6 +44,7 @@
 #include <vector>
 
 #include "accel/sim_engine.h"
+#include "accel/simd_lanes.h"
 #include "bench/bench_util.h"
 #include "core/executor.h"
 #include "core/sweep_context.h"
@@ -241,10 +241,9 @@ dynamic_chunked_makespan(const std::vector<double> &costs, std::size_t w)
 int
 main(int argc, char **argv)
 {
-    // Force the scalar shard path before anything queries the lane
-    // backend: the baseline is per-packet scalar, and the comparison must
-    // isolate fork-join cost, not SIMD width.
-    setenv("ROBOSHAPE_SIMD", "off", 1);
+    // Force the scalar backend: the baseline is per-packet scalar, and the
+    // comparison must isolate fork-join cost, not SIMD width.
+    accel::simd::set_lane_backend("scalar");
 
     const std::string json_path = bench::json_out_path(argc, argv);
     bench::print_header(

@@ -9,17 +9,20 @@
  * engine outputs must be bit-identical in both modes (instrumentation
  * observes, it never participates in arithmetic).
  *
- * Each mode is measured several times interleaved (enabled, disabled,
- * enabled, ...) and the best rate per mode is compared, which keeps the
- * gate stable on noisy shared CI machines.  Under -DROBOSHAPE_NO_OBS the
- * comparison degenerates to identical binaries and the gate passes
- * trivially — that configuration's claim ("compiled out") is checked by
- * the build, not by timing.
+ * The modes are timed in kPairs alternating pairs of short windows, the
+ * order flipping from pair to pair, and the gate reads the median of the
+ * per-pair rate ratios: host noise that drifts slower than one pair hits
+ * both of its windows alike, and the median drops the pairs a burst
+ * split, so no single lucky window decides the gate.  Under
+ * -DROBOSHAPE_NO_OBS the comparison degenerates to identical binaries and
+ * the gate passes trivially — that configuration's claim ("compiled out")
+ * is checked by the build, not by timing.
  *
  * Flags:
  *   --json <path>   also write the JSON document to a file
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -41,12 +44,13 @@ using namespace roboshape;
 using Clock = std::chrono::steady_clock;
 
 constexpr double kMaxOverhead = 0.02; ///< 2% gate.
-constexpr int kRounds = 5;            ///< Interleaved rounds per mode.
+constexpr int kPairs = 21;            ///< Alternating enabled/disabled pairs.
+constexpr double kWindowS = 0.02;     ///< Timed window per mode and pair.
 
 /** Runs fn repeatedly for ~@p budget_s seconds; returns calls/sec. */
 template <typename Fn>
 double
-calls_per_sec(Fn &&fn, double budget_s = 0.05)
+calls_per_sec(Fn &&fn, double budget_s)
 {
     fn(); // warm-up
     std::size_t calls = 0;
@@ -59,6 +63,14 @@ calls_per_sec(Fn &&fn, double budget_s = 0.05)
         elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
     } while (elapsed < budget_s);
     return static_cast<double>(calls) / elapsed;
+}
+
+/** Nearest-rank quantile of a sorted, nonempty sample. */
+double
+quantile(const std::vector<double> &sorted, double q)
+{
+    const double rank = q * static_cast<double>(sorted.size() - 1);
+    return sorted[static_cast<std::size_t>(rank + 0.5)];
 }
 
 double
@@ -106,25 +118,38 @@ main(int argc, char **argv)
     engine.run(ws, packet, out_off);
     const double divergence = result_diff(out_on, out_off);
 
-    // Throughput: interleave modes, keep the best rate of each.
-    double best_on = 0.0, best_off = 0.0;
+    // Throughput: alternating pairs; even pairs time enabled first, odd
+    // pairs disabled first, so neither mode always runs warmer.
+    std::vector<double> on(kPairs), off(kPairs), ratio(kPairs);
     accel::EngineResult out;
-    for (int round = 0; round < kRounds; ++round) {
-        obs::set_enabled(true);
-        best_on = std::max(
-            best_on, calls_per_sec([&] { engine.run(ws, packet, out); }));
-        obs::set_enabled(false);
-        best_off = std::max(
-            best_off, calls_per_sec([&] { engine.run(ws, packet, out); }));
+    const auto rate = [&](bool enabled) {
+        obs::set_enabled(enabled);
+        return calls_per_sec([&] { engine.run(ws, packet, out); }, kWindowS);
+    };
+    for (int p = 0; p < kPairs; ++p) {
+        const bool on_first = p % 2 == 0;
+        const double first = rate(on_first);
+        const double second = rate(!on_first);
+        on[p] = on_first ? first : second;
+        off[p] = on_first ? second : first;
+        ratio[p] = on[p] / off[p];
     }
     obs::set_enabled(true);
+    std::sort(on.begin(), on.end());
+    std::sort(off.begin(), off.end());
+    std::sort(ratio.begin(), ratio.end());
 
-    const double overhead = 1.0 - best_on / best_off;
+    const double overhead = 1.0 - quantile(ratio, 0.5);
     const bool overhead_ok = overhead <= kMaxOverhead;
     const bool identical = divergence == 0.0;
 
-    std::printf("enabled:  %12.0f calls/sec\n", best_on);
-    std::printf("disabled: %12.0f calls/sec\n", best_off);
+    std::printf("enabled:  %12.0f calls/sec (median of %d windows)\n",
+                quantile(on, 0.5), kPairs);
+    std::printf("disabled: %12.0f calls/sec (median of %d windows)\n",
+                quantile(off, 0.5), kPairs);
+    std::printf("enabled/disabled per pair: %.4f [q1 %.4f, q3 %.4f]\n",
+                quantile(ratio, 0.5), quantile(ratio, 0.25),
+                quantile(ratio, 0.75));
     std::printf("overhead: %+.2f%% (gate: <= %.0f%%)  numerics: %s\n",
                 overhead * 100.0, kMaxOverhead * 100.0,
                 identical ? "bit-identical" : "DIVERGED");
@@ -133,8 +158,12 @@ main(int argc, char **argv)
     w.begin_object();
     w.kv("bench", "obs_overhead");
     w.kv("robot", "iiwa");
-    w.kv("enabled_calls_per_sec", best_on);
-    w.kv("disabled_calls_per_sec", best_off);
+    w.kv("enabled_calls_per_sec", quantile(on, 0.5));
+    w.kv("disabled_calls_per_sec", quantile(off, 0.5));
+    w.kv("pairs", kPairs);
+    w.kv("ratio_q1", quantile(ratio, 0.25));
+    w.kv("ratio_median", quantile(ratio, 0.5));
+    w.kv("ratio_q3", quantile(ratio, 0.75));
     w.kv("overhead", overhead);
     w.kv("max_overhead", kMaxOverhead);
     w.kv("bit_identical", identical);

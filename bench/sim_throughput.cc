@@ -16,7 +16,7 @@
  *
  * The gradient kernel additionally gets a SIMD batch-lane section
  * (accel/simd_lanes.h): a wide batch (kWideBatchSize packets) is run once
- * with the lane backend forced off (scalar shard path) and once with the
+ * with the scalar lane backend forced (the W = 1 kernel) and once with the
  * detected lane backend, both at one worker thread so the comparison
  * isolates the SIMD effect.  The lane outputs are compared to the scalar
  * ones in ulps — the documented exactness policy is 0 ulp — and on hosts
@@ -238,7 +238,7 @@ struct LaneSection
     bool measured = false;       ///< False when no vector backend exists.
     const char *backend = "scalar";
     std::size_t width = 1;
-    double scalar_cps = 0.0;     ///< Forced-scalar shard path, 1 thread.
+    double scalar_cps = 0.0;     ///< Forced-scalar backend, 1 thread.
     double lane_cps = 0.0;       ///< Lane path, same batch, 1 thread.
     double speedup = 1.0;
     std::uint64_t max_ulp = 0;   ///< Lane vs scalar outputs (gate: 0).
@@ -352,7 +352,7 @@ measure_gradient(const accel::AcceleratorDesign &design,
     const accel::simd::LaneBackend &active = accel::simd::lane_backend();
     row.lane.backend = active.name;
     row.lane.width = active.width;
-    row.lane.measured = active.gradient != nullptr;
+    row.lane.measured = active.width > 1;
     {
         std::vector<accel::InputPacket> wide(kWideBatchSize);
         for (std::size_t p = 0; p < kWideBatchSize; ++p) {
@@ -364,7 +364,7 @@ measure_gradient(const accel::AcceleratorDesign &design,
         std::vector<accel::EngineResult> scalar_out(kWideBatchSize);
         std::vector<accel::EngineResult> lane_out(kWideBatchSize);
 
-        accel::simd::set_lane_backend("off");
+        accel::simd::set_lane_backend("scalar");
         const double scalar_bps = best_calls_per_sec([&] {
             engine.run_batch(wide, scalar_out, bws, 1);
         });

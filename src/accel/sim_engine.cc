@@ -296,20 +296,40 @@ SimEngine::compile_kinematics(const std::vector<const Placement *> &ops)
 void
 SimEngine::check_packet(const InputPacket &in) const
 {
+    const auto check_length = [this](const linalg::Vector &v,
+                                     const char *field) {
+        if (v.size() != n_)
+            throw std::invalid_argument(
+                std::string("packet field '") + field + "' has " +
+                std::to_string(v.size()) + " entries, expected n = " +
+                std::to_string(n_));
+    };
     switch (design_->kernel()) {
       case sched::KernelKind::kDynamicsGradient:
         if (!in.q || !in.qd || !in.qdd || !in.minv)
             throw std::invalid_argument(
                 "gradient packet requires q, qd, qdd, and minv");
+        check_length(*in.q, "q");
+        check_length(*in.qd, "qd");
+        check_length(*in.qdd, "qdd");
+        if (in.minv->rows() != n_ || in.minv->cols() != n_)
+            throw std::invalid_argument(
+                "packet field 'minv' is " +
+                std::to_string(in.minv->rows()) + " x " +
+                std::to_string(in.minv->cols()) +
+                ", expected n x n with n = " + std::to_string(n_));
         break;
       case sched::KernelKind::kMassMatrix:
         if (!in.q)
             throw std::invalid_argument("mass-matrix packet requires q");
+        check_length(*in.q, "q");
         break;
       case sched::KernelKind::kForwardKinematics:
         if (!in.q || !in.qd)
             throw std::invalid_argument(
                 "kinematics packet requires q and qd");
+        check_length(*in.q, "q");
+        check_length(*in.qd, "qd");
         break;
     }
 }
@@ -544,95 +564,67 @@ SimEngine::run_batch(std::span<const InputPacket> in,
     if (in.size() != out.size())
         throw std::invalid_argument(
             "run_batch needs one result slot per packet");
-    // run() must not throw inside an executor region, so every packet is
-    // checked up front (the lane path's workspaces size themselves).
+    // Every packet is checked up front, so a bad one throws before any
+    // result is written.
     for (const InputPacket &p : in)
         check_packet(p);
     ROBOSHAPE_OBS_COUNT("sim.batch_calls", 1);
     ROBOSHAPE_OBS_COUNT("sim.batch_packets", in.size());
 
-    // SIMD group path: gradient engines with a vector backend and at least
-    // one full lane group.  The same kernel source as run() (see
-    // accel/simd_lanes.h), so dispatch is a pure throughput decision.
+    // Units of the region: the W-wide lane groups in ascending order, then
+    // the leftover packets one at a time through run().  Mass-matrix and
+    // kinematics engines and the scalar backend have no groups.  Every
+    // width runs the same kernel source (accel/simd_lanes.h), so grouping
+    // is a pure throughput decision.
     const simd::LaneBackend &backend = simd::lane_backend();
-    if (backend.gradient != nullptr &&
-        design_->kernel() == sched::KernelKind::kDynamicsGradient &&
-        in.size() >= backend.width) {
-        run_batch_lanes(in, out, ws, backend, threads);
-        return;
-    }
+    const std::size_t width =
+        design_->kernel() == sched::KernelKind::kDynamicsGradient
+            ? backend.width
+            : 1;
+    const std::size_t groups = width > 1 ? in.size() / width : 0;
+    const std::size_t grouped = groups * width;
+    const std::size_t units = groups + (in.size() - grouped);
 
-    ROBOSHAPE_OBS_RECORD("sim.lane_width", 1);
     core::Executor &exec = core::Executor::instance();
-    const std::size_t workers = exec.resolve_width(in.size(), threads);
+    const std::size_t workers = exec.resolve_width(units, threads);
     while (ws.per_thread.size() < workers)
         ws.per_thread.push_back(make_workspace());
     for (std::size_t t = 0; t < workers; ++t)
         check_workspace(ws.per_thread[t]);
-    // The executor hands each packet to exactly one lane; a lane index is
-    // exclusive to one OS thread for the whole region, so workspace[lane]
-    // is single-threaded whichever lane claims a packet.  Results stay
-    // bit-identical at any width because a packet's output slot is fixed
-    // and a warm workspace never leaks state between runs (the
-    // zero-allocation contract).
+
+    ROBOSHAPE_OBS_RECORD("sim.lane_width", groups > 0 ? width : 1);
+    if (width > 1)
+        ROBOSHAPE_OBS_COUNT("sim.batch_tail_packets", in.size() - grouped);
+
+    // A lane index is exclusive to one OS thread for the whole region, so
+    // workspace[lane] is single-threaded whichever lane claims a unit, and
+    // its lane workspace serves W-wide groups and single packets alike.
+    // Results stay bit-identical at any thread count because a unit's
+    // output slots are fixed and a warm workspace never leaks state
+    // between runs (the zero-allocation contract).
     std::array<std::uint64_t, core::kMaxExecutorLanes> shard{};
     exec.parallel_for_lanes(
-        in.size(),
-        [&](std::size_t i, std::size_t lane) {
-            run(ws.per_thread[lane], in[i], out[i]);
-            ++shard[lane];
+        units,
+        [&](std::size_t u, std::size_t lane) {
+            Workspace &lane_ws = ws.per_thread[lane];
+            if (u < groups) {
+                run_gradient_group(backend.gradient, width,
+                                   in.data() + u * width, lane_ws.lanes,
+                                   out.data() + u * width);
+                shard[lane] += width;
+            } else {
+                const std::size_t i = grouped + (u - groups);
+                run(lane_ws, in[i], out[i]);
+                ++shard[lane];
+            }
         },
         workers);
-    // Shard balance: packets each lane actually executed (dynamic, not
-    // the static ceil/floor split the fork-join pool used to report).
+    // Shard balance: packets each lane actually executed.
     for (std::size_t t = 0; t < workers; ++t)
         ROBOSHAPE_OBS_RECORD("sim.batch_shard_packets", shard[t]);
-}
-
-void
-SimEngine::run_batch_lanes(std::span<const InputPacket> in,
-                           std::span<EngineResult> out, BatchWorkspace &ws,
-                           const simd::LaneBackend &backend,
-                           std::size_t threads) const
-{
-    const std::size_t width = backend.width;
-    const std::size_t groups = in.size() / width;
-    const std::size_t tail = in.size() - groups * width;
-    core::Executor &exec = core::Executor::instance();
-    const std::size_t workers = exec.resolve_width(groups, threads);
-    while (ws.per_thread.size() < workers)
-        ws.per_thread.push_back(make_workspace());
-
-    ROBOSHAPE_OBS_RECORD("sim.lane_width", width);
-    ROBOSHAPE_OBS_COUNT("sim.batch_tail_packets", tail);
-
-    // Executor lane indices are exclusive to one OS thread per region, so
-    // each worker's lane workspace stays single-threaded whichever lane
-    // claims a group, as in the shard path above.
-    std::array<std::uint64_t, core::kMaxExecutorLanes> shard{};
-    exec.parallel_for_lanes(
-        groups,
-        [&](std::size_t g, std::size_t lane) {
-            run_gradient_group(backend.gradient, width,
-                               in.data() + g * width,
-                               ws.per_thread[lane].lanes,
-                               out.data() + g * width);
-            shard[lane] += width;
-        },
-        workers);
-    // Shard balance in packets actually executed per lane (the tail runs
-    // on the calling thread below and is not a shard).
-    for (std::size_t t = 0; t < workers; ++t)
-        ROBOSHAPE_OBS_RECORD("sim.batch_shard_packets", shard[t]);
-    ROBOSHAPE_OBS_COUNT("sim.runs", groups * width);
-    ROBOSHAPE_OBS_COUNT("sim.ops_executed",
-                        groups * width * trace_length());
-
-    // Tail: fewer than one lane group left; run() executes the same kernel
-    // at width 1, so results stay invariant across batch size, lane width,
-    // and thread count.
-    for (std::size_t i = groups * width; i < in.size(); ++i)
-        run(ws.per_thread[0], in[i], out[i]);
+    // run() counts the leftover packets itself.
+    ROBOSHAPE_OBS_COUNT("sim.runs", grouped);
+    ROBOSHAPE_OBS_COUNT("sim.ops_executed", grouped * trace_length());
 }
 
 } // namespace accel

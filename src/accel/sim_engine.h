@@ -26,8 +26,9 @@
  *    designs run on the lane kernel of accel/simd_lanes.h at width 1:
  *    the same source that run_batch instantiates at width 4 and 8.
  *
- *  - run_batch() shards independent packets across the persistent
- *    executor (core/executor.h) with one Workspace per lane.  Packets
+ *  - run_batch() runs independent packets in one region of the
+ *    persistent executor (core/executor.h) with one Workspace per lane:
+ *    W-wide SIMD lane groups first, then the leftover packets.  Packets
  *    never share mutable state, so results are bit-identical at any
  *    thread count and claim interleaving.
  *
@@ -58,7 +59,8 @@ namespace accel {
 /**
  * One input set for the engine.  Pointers must stay valid for the duration
  * of the run; which fields are required depends on the design's kernel:
- * gradient needs all four, mass-matrix only q, kinematics q and qd.
+ * gradient needs all four, mass-matrix only q, kinematics q and qd.  Each
+ * required vector holds the robot's n entries and minv is n x n.
  */
 struct InputPacket
 {
@@ -151,8 +153,8 @@ class SimEngine
 
     /**
      * Per-worker workspaces for run_batch; grown lazily, then reused.
-     * Worker t runs its packets, or its SIMD lane groups, in per_thread[t];
-     * the lane path's tail packets run in per_thread[0].
+     * Executor lane t runs every unit it claims, SIMD lane group or
+     * single packet, in per_thread[t].
      */
     struct BatchWorkspace
     {
@@ -189,23 +191,25 @@ class SimEngine
      * simulate_forward_kinematics() results for the same design and order.
      *
      * @throws std::invalid_argument when @p in lacks a field the kernel
-     *         reads, or @p ws is not sized for this engine (e.g. made by
-     *         an engine of another kernel or link count).
+     *         reads or a field it reads is not n-sized (n x n for minv),
+     *         or @p ws is not sized for this engine (e.g. made by an
+     *         engine of another kernel or link count).
      */
     void run(Workspace &ws, const InputPacket &in, EngineResult &out) const;
 
     /**
-     * Executes @p in[i] into @p out[i] for every i, sharding packets over
-     * the persistent executor.  Results are bit-identical to serial run()
-     * calls at any thread count: the executor decides which lane runs a
-     * packet, never where its output lands.
+     * Executes @p in[i] into @p out[i] for every i in one executor region.
+     * Results are bit-identical to serial run() calls at any thread count
+     * and lane width: the executor decides which lane runs a unit, never
+     * where its output lands.
      *
-     * Dynamics-gradient engines additionally route full groups of W
-     * consecutive packets through the W-wide SIMD lane backend chosen by
-     * simd::lane_backend() (the trailing < W packets run through run()).
-     * The lane kernel is one source at every width, so this changes no
-     * output bit; set ROBOSHAPE_SIMD=off (or build with
-     * -DROBOSHAPE_SIMD=OFF) to force the one-packet-at-a-time path.
+     * The region's units are, for dynamics-gradient engines, the full
+     * groups of W consecutive packets (W = simd::lane_backend().width) in
+     * ascending order, each run by the backend's W-wide kernel, then the
+     * leftover packets in ascending order, each through run().  For the
+     * other kernels every unit is one packet through run().  The lane
+     * kernel is one source at every width, so grouping changes no output
+     * bit.
      *
      * @param threads worker count; 0 defers to ROBOSHAPE_THREADS /
      *        hardware concurrency (see core::Executor::resolve_width).
@@ -231,11 +235,6 @@ class SimEngine
     /** Throw std::invalid_argument on what run() must not execute. */
     void check_packet(const InputPacket &in) const;
     void check_workspace(const Workspace &ws) const;
-    /** SIMD group path of run_batch (gradient engines, backend width W). */
-    void run_batch_lanes(std::span<const InputPacket> in,
-                         std::span<EngineResult> out, BatchWorkspace &ws,
-                         const simd::LaneBackend &backend,
-                         std::size_t threads) const;
     /** Marshals @p width validated gradient packets into @p lw, runs
      *  @p kernel over them and scatters the results into @p out. */
     void run_gradient_group(simd::GradientLaneFn kernel, std::size_t width,

@@ -3,7 +3,7 @@
  * Lane backend dispatch and the SoA marshal/demarshal layer.
  *
  * This TU is compiled into every build (including -DROBOSHAPE_SIMD=OFF):
- * the scalar fallback backend always exists, and the ISA kernels are only
+ * the scalar backend always exists, and the ISA kernels are only
  * referenced when their ROBOSHAPE_SIMD_HAVE_* macro says the matching
  * translation unit was compiled in.
  */
@@ -11,7 +11,6 @@
 #include "accel/simd_lanes.h"
 
 #include <atomic>
-#include <cstdlib>
 
 #include "accel/sim_engine.h"
 #include "spatial/spatial_transform.h"
@@ -43,10 +42,7 @@ namespace {
 [[maybe_unused]] bool cpu_has_avx512f() { return false; }
 #endif
 
-const LaneBackend kScalar{"scalar", 1, nullptr};
-#ifdef ROBOSHAPE_SIMD_HAVE_GENERIC
-const LaneBackend kGeneric{"generic", 4, &run_gradient_lanes_generic};
-#endif
+const LaneBackend kScalar{"scalar", 1, &run_gradient_lanes_scalar};
 #ifdef ROBOSHAPE_SIMD_HAVE_AVX2
 const LaneBackend kAvx2{"avx2", 4, &run_gradient_lanes_avx2};
 #endif
@@ -54,76 +50,9 @@ const LaneBackend kAvx2{"avx2", 4, &run_gradient_lanes_avx2};
 const LaneBackend kAvx512{"avx512", 8, &run_gradient_lanes_avx512};
 #endif
 
-/** Widest backend this build + CPU supports (the "auto" policy). */
-const LaneBackend *
-detect()
-{
-#ifdef ROBOSHAPE_SIMD_HAVE_AVX512
-    if (cpu_has_avx512f())
-        return &kAvx512;
-#endif
-#ifdef ROBOSHAPE_SIMD_HAVE_AVX2
-    if (cpu_has_avx2())
-        return &kAvx2;
-#endif
-    return &kScalar;
-}
-
-/** Backend by name, nullptr when not compiled in / not supported here. */
-const LaneBackend *
-by_name(std::string_view name)
-{
-    if (name == "off" || name == "scalar")
-        return &kScalar;
-#ifdef ROBOSHAPE_SIMD_HAVE_GENERIC
-    if (name == "generic")
-        return &kGeneric;
-#endif
-#ifdef ROBOSHAPE_SIMD_HAVE_AVX2
-    if (name == "avx2" && cpu_has_avx2())
-        return &kAvx2;
-#endif
-#ifdef ROBOSHAPE_SIMD_HAVE_AVX512
-    if (name == "avx512" && cpu_has_avx512f())
-        return &kAvx512;
-#endif
-    if (name == "auto")
-        return detect();
-    return nullptr;
-}
-
 std::atomic<const LaneBackend *> g_active{nullptr};
 
 } // namespace
-
-const LaneBackend &
-lane_backend()
-{
-    const LaneBackend *b = g_active.load(std::memory_order_acquire);
-    if (!b) {
-        const char *env = std::getenv("ROBOSHAPE_SIMD");
-        const LaneBackend *resolved = env ? by_name(env) : nullptr;
-        if (!resolved)
-            resolved = detect(); // unset or unrecognized value: auto
-        // First resolver wins; a concurrent set_lane_backend still takes
-        // effect for later loads.
-        const LaneBackend *expected = nullptr;
-        g_active.compare_exchange_strong(expected, resolved,
-                                         std::memory_order_acq_rel);
-        b = g_active.load(std::memory_order_acquire);
-    }
-    return *b;
-}
-
-bool
-set_lane_backend(std::string_view name)
-{
-    const LaneBackend *b = name == "auto" ? detect() : by_name(name);
-    if (!b)
-        return false;
-    g_active.store(b, std::memory_order_release);
-    return true;
-}
 
 std::vector<const LaneBackend *>
 available_lane_backends()
@@ -132,11 +61,8 @@ available_lane_backends()
     // -fsanitize=undefined emits a spurious -Warray-bounds for the
     // one-element initializer_list backing array here.
     std::vector<const LaneBackend *> out;
-    out.reserve(4);
+    out.reserve(3);
     out.push_back(&kScalar);
-#ifdef ROBOSHAPE_SIMD_HAVE_GENERIC
-    out.push_back(&kGeneric);
-#endif
 #ifdef ROBOSHAPE_SIMD_HAVE_AVX2
     if (cpu_has_avx2())
         out.push_back(&kAvx2);
@@ -146,6 +72,37 @@ available_lane_backends()
         out.push_back(&kAvx512);
 #endif
     return out;
+}
+
+const LaneBackend &
+lane_backend()
+{
+    const LaneBackend *b = g_active.load(std::memory_order_acquire);
+    if (!b) {
+        // First resolver wins; a concurrent set_lane_backend still takes
+        // effect for later loads.
+        const LaneBackend *expected = nullptr;
+        g_active.compare_exchange_strong(expected,
+                                         available_lane_backends().back(),
+                                         std::memory_order_acq_rel);
+        b = g_active.load(std::memory_order_acquire);
+    }
+    return *b;
+}
+
+bool
+set_lane_backend(std::string_view name)
+{
+    const std::vector<const LaneBackend *> backends =
+        available_lane_backends();
+    const LaneBackend *b = name == "auto" ? backends.back() : nullptr;
+    for (const LaneBackend *candidate : backends)
+        if (name == candidate->name)
+            b = candidate;
+    if (!b)
+        return false;
+    g_active.store(b, std::memory_order_release);
+    return true;
 }
 
 void

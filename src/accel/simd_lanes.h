@@ -12,8 +12,8 @@
  * compiled op once for all W packets with W-wide vector arithmetic.
  *
  * One kernel source (simd_lanes_impl.inl) is instantiated at W = 1 (the
- * interpreter behind SimEngine::run and run_batch's tail packets, built in
- * every configuration), W = 4 (generic, AVX2) and W = 8 (AVX-512).
+ * interpreter behind SimEngine::run and the scalar backend, built in every
+ * configuration), W = 4 (AVX2) and W = 8 (AVX-512).
  *
  * Exactness policy (the part that makes this safe to deploy):
  *
@@ -32,12 +32,9 @@
  *    stays the byte-exact reference.
  *
  * Backend selection is a one-time runtime dispatch: AVX-512 (8 lanes) when
- * the CPU has it, else AVX2 (4 lanes), else scalar (one packet at a time
- * through the W = 1 kernel).  A "generic" 4-lane backend compiled without
- * any ISA flags exists for tests and non-x86 hosts.  The ROBOSHAPE_SIMD
- * environment variable (off|scalar|generic|avx2|avx512|auto) overrides
- * detection; building with -DROBOSHAPE_SIMD=OFF (CMake) compiles the wide
- * kernels out entirely and run_batch always takes the scalar path.
+ * the CPU has it, else AVX2 (4 lanes), else scalar (the W = 1 kernel).
+ * Building with -DROBOSHAPE_SIMD=OFF (CMake) compiles the wide kernels out
+ * entirely, so run_batch runs every packet through the W = 1 kernel.
  */
 
 #ifndef ROBOSHAPE_ACCEL_SIMD_LANES_H
@@ -175,32 +172,38 @@ struct GradientTraceView
 /** Executes the gradient trace for one marshaled lane group. */
 using GradientLaneFn = void (*)(const GradientTraceView &, LaneWorkspace &);
 
+// Kernel entry points, one per width/ISA (defined in simd_lanes_<isa>.cc).
+// The 1-wide kernel is compiled into every build; the AVX ones only on
+// x86-64 with ROBOSHAPE_SIMD=ON, and only their backends reference them.
+void run_gradient_lanes_scalar(const GradientTraceView &, LaneWorkspace &);
+void run_gradient_lanes_avx2(const GradientTraceView &, LaneWorkspace &);
+void run_gradient_lanes_avx512(const GradientTraceView &, LaneWorkspace &);
+
 /**
- * One selectable lane backend.  width == 1 (gradient == nullptr) is the
- * scalar fallback: run_batch executes packets one at a time through
- * SimEngine::run, i.e. the W = 1 kernel.
+ * One selectable lane backend: @c gradient runs groups of @c width
+ * packets.  Every backend has a kernel; the scalar one (width 1) is the
+ * W = 1 kernel that SimEngine::run uses.
  */
 struct LaneBackend
 {
     const char *name = "scalar";
     std::size_t width = 1;
-    GradientLaneFn gradient = nullptr;
+    GradientLaneFn gradient = &run_gradient_lanes_scalar;
 };
 
 /**
- * The active backend.  Resolved once on first use: the ROBOSHAPE_SIMD
- * environment variable when set (off|scalar|generic|avx2|avx512|auto),
- * else the widest ISA this CPU supports among the compiled-in kernels,
- * else scalar.  Thread-safe; the result is cached.
+ * The active backend.  Resolved on first use to the last entry of
+ * available_lane_backends(), the widest this build and CPU support
+ * (AVX-512, else AVX2, else scalar); that first call allocates, later
+ * ones do not.  Thread-safe; the result is cached.
  */
 const LaneBackend &lane_backend();
 
 /**
- * Overrides the active backend by name ("auto" re-runs detection without
- * consulting the environment).  Returns false — leaving the selection
- * unchanged — when the named backend was not compiled in or the CPU lacks
- * its ISA.  Intended for tests and benches; do not call concurrently with
- * run_batch.
+ * Selects the backend of available_lane_backends() named @p name, or its
+ * last entry for "auto".  Returns false, leaving the selection unchanged,
+ * for any other name.  For tests and benches; do not call concurrently
+ * with run_batch.
  */
 bool set_lane_backend(std::string_view name);
 
@@ -227,14 +230,6 @@ void marshal_gradient_group(const topology::RobotModel &model,
 void demarshal_gradient_group(std::size_t n, std::size_t width,
                               std::size_t tasks, const LaneWorkspace &ws,
                               EngineResult *out);
-
-// Kernel entry points, one per width/ISA (defined in simd_lanes_<isa>.cc).
-// The 1-wide kernel is compiled into every build; of the others, only the
-// ones compiled into this build are referenced by the dispatcher.
-void run_gradient_lanes_scalar(const GradientTraceView &, LaneWorkspace &);
-void run_gradient_lanes_generic(const GradientTraceView &, LaneWorkspace &);
-void run_gradient_lanes_avx2(const GradientTraceView &, LaneWorkspace &);
-void run_gradient_lanes_avx512(const GradientTraceView &, LaneWorkspace &);
 
 } // namespace simd
 } // namespace accel

@@ -1,7 +1,7 @@
 /**
  * @file
  * 1-wide instantiation of the lane kernel: the interpreter behind
- * SimEngine::run on gradient designs and behind the tail packets of
+ * SimEngine::run on gradient designs and the scalar lane backend of
  * run_batch.  Compiled in every configuration (including
  * -DROBOSHAPE_SIMD=OFF) with no ISA flags and -ffp-contract=off (see
  * src/accel/CMakeLists.txt), so it runs on any host and rounds exactly

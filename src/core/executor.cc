@@ -31,6 +31,12 @@
  *    the interleaving).  Workers also stay until remaining reads 0: a
  *    worker that parked as soon as the claims ran out would be asleep on
  *    the futex when the next back-to-back region installs.
+ *
+ *  - failed and error carry a throwing callback out of the region.  Every
+ *    chunk counts off remaining, thrown or not, so a throw cannot strand
+ *    the lanes.  The first chunk to flip failed stores error before its
+ *    release decrement; the leader reads it after its acquire load of 0,
+ *    releases region_mutex_, then rethrows it on the submitting thread.
  */
 
 #include "core/executor.h"
@@ -41,10 +47,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/parse_uint.h"
@@ -110,6 +118,11 @@ struct Executor::Impl
 
         std::atomic<std::size_t> next{0};
         std::atomic<std::size_t> remaining{0};
+
+        /** Set by the first chunk that throws; that chunk alone writes
+         *  error, before its release decrement of remaining. */
+        std::atomic<bool> failed{false};
+        std::exception_ptr error;
     };
 
     std::mutex region_mutex_;
@@ -166,8 +179,10 @@ struct Executor::Impl
     }
 
     /** Claims and runs chunks as @p lane until the ids run out, then
-     *  waits until every chunk of the region has run.  Returns the number
-     *  of chunks this lane ran. */
+     *  waits until every chunk of the region has run.  A chunk that throws
+     *  still counts off remaining; the first exception is kept for the
+     *  leader, and chunks claimed after it skip the callback.  Returns the
+     *  number of chunks this lane claimed. */
     std::size_t run_lane(std::size_t lane)
     {
         Region &r = region_;
@@ -180,7 +195,15 @@ struct Executor::Impl
             if (traced && executed == 0)
                 t_first = obs::wall_now_ns();
             const std::size_t begin = c * r.grain;
-            r.invoke(r.ctx, begin, std::min(r.count, begin + r.grain), lane);
+            if (!r.failed.load(std::memory_order_relaxed)) {
+                try {
+                    r.invoke(r.ctx, begin,
+                             std::min(r.count, begin + r.grain), lane);
+                } catch (...) {
+                    if (!r.failed.exchange(true, std::memory_order_relaxed))
+                        r.error = std::current_exception();
+                }
+            }
             r.remaining.fetch_sub(1, std::memory_order_release);
             ++executed;
             if (traced)
@@ -270,7 +293,7 @@ Executor::run_chunked(void *ctx, ChunkInvoke invoke, std::size_t count,
     const std::size_t num_chunks = (count + grain - 1) / grain;
 
     Impl &impl = *impl_;
-    std::lock_guard<std::mutex> region_lock(impl.region_mutex_);
+    std::unique_lock<std::mutex> region_lock(impl.region_mutex_);
     impl.ensure_workers(width);
     {
         std::lock_guard<std::mutex> lock(impl.park_mutex_);
@@ -286,6 +309,7 @@ Executor::run_chunked(void *ctx, ChunkInvoke invoke, std::size_t count,
         r.trace_req = obs::trace_request_id();
         r.next.store(0, std::memory_order_relaxed);
         r.remaining.store(num_chunks, std::memory_order_relaxed);
+        r.failed.store(false, std::memory_order_relaxed);
         ++impl.epoch_;
     }
     impl.park_cv_.notify_all();
@@ -293,11 +317,18 @@ Executor::run_chunked(void *ctx, ChunkInvoke invoke, std::size_t count,
     t_inside_region = true;
     const std::size_t led = impl.run_lane(0);
     t_inside_region = false;
+    // run_lane(0) returned after its acquire load of remaining == 0, so
+    // the failing chunk's write of error is visible here.
+    const std::exception_ptr error = std::exchange(impl.region_.error,
+                                                   nullptr);
+    region_lock.unlock();
 
     ROBOSHAPE_OBS_COUNT("exec.regions", 1);
     ROBOSHAPE_OBS_COUNT("exec.tasks", num_chunks);
-    // Every chunk the submitting thread did not run ran on a pool worker.
+    // Every chunk the submitting thread did not claim ran on a pool worker.
     ROBOSHAPE_OBS_COUNT("exec.steals", num_chunks - led);
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace core

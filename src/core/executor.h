@@ -90,9 +90,13 @@ class Executor
     /**
      * Runs fn(i) for every i in [0, count).  Index i is executed exactly
      * once, by whichever lane claims its chunk; fn may only write state
-     * owned by i and must not throw.  Blocks until every index ran; all
-     * writes are visible to the caller afterwards.  Runs inline when one
-     * lane suffices.  Nested calls from inside a region run inline.
+     * owned by i.  Blocks until every index ran; all writes are visible to
+     * the caller afterwards.  Runs inline when one lane suffices.  Nested
+     * calls from inside a region run inline.
+     *
+     * If fn throws, the first exception is rethrown on the submitting
+     * thread once the region has ended; which indices ran is then
+     * unspecified.
      */
     template <typename Fn>
     void parallel_for(std::size_t count, Fn &&fn,

@@ -3,7 +3,8 @@
  * Suite for the persistent executor (core::Executor), whose every region
  * is a chunked parallel_for claimed from one shared counter: index
  * coverage, lane exclusivity, idle lanes taking over a blocked lane's
- * chunks, the exec.* counters, byte-identical sweep and run_batch outputs
+ * chunks, a throwing callback rethrown on the submitter with the pool left
+ * usable, the exec.* counters, byte-identical sweep and run_batch outputs
  * across thread counts {1, 2, 7, hw} and repeated runs, env-var
  * validation, and a counting-operator-new proof that warm submissions
  * never touch the heap.
@@ -13,8 +14,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -241,6 +244,100 @@ TEST(ExecutorParallelFor, ZeroCountReturnsImmediately)
     Executor::instance().parallel_for(
         0, [&](std::size_t) { ran = true; }, 4);
     EXPECT_FALSE(ran);
+}
+
+// ------------------------------------------------------- exceptions ----
+
+constexpr int kThrowDeadlineMs = 30000; // fail instead of hanging
+
+/** Sleeps in 1 ms steps until @p flag is set; false after the deadline. */
+bool
+wait_for(const std::atomic<bool> &flag)
+{
+    for (int waited_ms = 0; !flag.load(); ++waited_ms) {
+        if (waited_ms == kThrowDeadlineMs)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+/** A normal 4-lane region still runs every index exactly once. */
+void
+expect_pool_runs_every_index()
+{
+    constexpr std::size_t kCount = 256;
+    std::vector<std::atomic<int>> hits(kCount);
+    Executor::instance().parallel_for(
+        kCount, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
+    for (std::size_t i = 0; i < kCount; ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(ExecutorExceptions, CallerThrowLeavesThePoolUsable)
+{
+    // Workers wait in their first chunk until lane 0 has thrown, so lane 0
+    // is sure to claim a chunk of its own (32 chunks, 3 held by workers).
+    constexpr std::size_t kWidth = 4;
+    std::atomic<bool> thrown{false};
+    const auto region = [&] {
+        Executor::instance().parallel_for_lanes(
+            8 * kWidth,
+            [&](std::size_t, std::size_t lane) {
+                if (lane == 0) {
+                    thrown.store(true);
+                    throw std::runtime_error("lane 0");
+                }
+                if (!wait_for(thrown))
+                    ADD_FAILURE() << "lane 0 never threw";
+            },
+            kWidth);
+    };
+    EXPECT_THROW(region(), std::runtime_error);
+
+    // A region submitted from another thread must still run.  A pool whose
+    // lanes wait forever on the thrown chunk would hang here, so the
+    // deadline ends the process instead.
+    std::atomic<bool> returned{false};
+    std::atomic<std::size_t> ran{0};
+    std::thread other([&] {
+        Executor::instance().parallel_for(
+            64, [&](std::size_t) { ran.fetch_add(1); }, kWidth);
+        returned.store(true);
+    });
+    if (!wait_for(returned)) {
+        std::fprintf(stderr, "FAILED: a region submitted after a throwing "
+                             "region never returned\n");
+        std::fflush(stderr);
+        std::_Exit(1);
+    }
+    other.join();
+    EXPECT_EQ(ran.load(), 64u);
+    expect_pool_runs_every_index();
+}
+
+TEST(ExecutorExceptions, WorkerThrowIsRethrownOnTheSubmitter)
+{
+    // Lane 0 blocks in its chunk until a worker lane has run an index, so
+    // the other chunks run off lane 0 (the trick of
+    // IdleLanesRunABlockedLanesChunks), and every one of them throws.
+    constexpr std::size_t kWidth = 4;
+    std::atomic<bool> off_lane0{false};
+    const auto region = [&] {
+        Executor::instance().parallel_for_lanes(
+            2 * kWidth,
+            [&](std::size_t, std::size_t lane) {
+                if (lane != 0) {
+                    off_lane0.store(true);
+                    throw std::runtime_error("worker lane");
+                }
+                if (!wait_for(off_lane0))
+                    ADD_FAILURE() << "no index ran off lane 0";
+            },
+            kWidth);
+    };
+    EXPECT_THROW(region(), std::runtime_error);
+    expect_pool_runs_every_index();
 }
 
 TEST(ExecutorWidth, ResolveWidthClampsToCountAndCap)

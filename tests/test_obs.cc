@@ -762,6 +762,53 @@ TEST(WallTrace, RunBatchEmitsSpansPerLaneGroup)
 #endif
 }
 
+// run_batch runs every packet, lane groups and leftovers alike, on some
+// executor lane of one region: the per-lane shard histogram sums to the
+// batch size, and the leftover packets are the W = 1 tail.
+TEST(SimCounters, RunBatchShardsSumToTheBatchSize)
+{
+#ifdef ROBOSHAPE_NO_OBS
+    GTEST_SKIP() << "counters compiled out";
+#endif
+    const RobotModel model = build_robot(RobotId::kIiwa);
+    const topology::TopologyInfo topo(model);
+    const accel::AcceleratorDesign design(model, {7, 7, 7});
+    const accel::SimEngine engine(design);
+
+    const std::size_t width = accel::simd::lane_backend().width;
+    const std::size_t count = 2 * width + 3;
+    std::vector<dynamics::RobotState> states;
+    std::vector<dynamics::ForwardDynamicsGradients> refs;
+    for (std::size_t i = 0; i < count; ++i) {
+        states.push_back(
+            dynamics::random_state(model, 60 + static_cast<int>(i)));
+        refs.push_back(dynamics::forward_dynamics_gradients(
+            model, topo, states[i].q, states[i].qd, states[i].tau));
+    }
+    std::vector<accel::InputPacket> packets;
+    for (std::size_t i = 0; i < count; ++i)
+        packets.push_back({&states[i].q, &states[i].qd, &refs[i].qdd,
+                           &refs[i].mass_inv});
+    std::vector<accel::EngineResult> out(count);
+    accel::SimEngine::BatchWorkspace batch;
+
+    obs::set_enabled(true);
+    engine.run_batch(packets, out, batch, 4); // warm
+    Histogram &shards = registry().histogram("sim.batch_shard_packets");
+    Counter &tail = registry().counter("sim.batch_tail_packets");
+    Counter &runs = registry().counter("sim.runs");
+    const std::int64_t shards_before = shards.snapshot().sum;
+    const std::uint64_t tail_before = tail.value();
+    const std::uint64_t runs_before = runs.value();
+    engine.run_batch(packets, out, batch, 4);
+
+    EXPECT_EQ(shards.snapshot().sum - shards_before,
+              static_cast<std::int64_t>(count));
+    // The scalar backend has no groups, so nothing counts as a tail.
+    EXPECT_EQ(tail.value() - tail_before, width > 1 ? 3u : 0u);
+    EXPECT_EQ(runs.value() - runs_before, count);
+}
+
 // ------------------------------------------------------ sweep memo stats ----
 
 TEST(SweepMemoStats, CountsHitsAndMisses)

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -468,6 +469,76 @@ TEST(SimEngineInputs, RunBatchRejectsBadInputBeforeAnyWork)
     iiwa_engine.run_batch(iiwa_packets, out, iiwa_batch, 4);
     EXPECT_THROW(engine.run_batch(mass_packets, out, iiwa_batch, 4),
                  std::invalid_argument);
+}
+
+// A packet field the kernel reads must hold n entries (minv n x n): the
+// kernels index them without bounds checks.  run() and run_batch both
+// throw a message naming the field and n, and run_batch writes no result.
+TEST(SimEngineInputs, MisSizedFieldsThrowBeforeAnyWork)
+{
+    const RobotModel m = build_robot(RobotId::kHyq);
+    const std::size_t n = m.num_links();
+    const TopologyInfo topo(m);
+    const RobotState s = random_state(m, 11);
+    const auto ref =
+        dynamics::forward_dynamics_gradients(m, topo, s.q, s.qd, s.tau);
+    const linalg::Vector short_vector(n - 1);
+    const linalg::Matrix narrow_minv(n, n - 1);
+
+    const AcceleratorDesign gradient(m, {4, 4, 4});
+    const AcceleratorDesign mass(m, {3, 3, 1}, default_timing(),
+                                 KernelKind::kMassMatrix);
+    const AcceleratorDesign kinematics(m, {4, 1, 1}, default_timing(),
+                                       KernelKind::kForwardKinematics);
+    const InputPacket good_gradient{&s.q, &s.qd, &ref.qdd, &ref.mass_inv};
+    struct Case
+    {
+        const AcceleratorDesign *design;
+        InputPacket good, bad;
+        const char *field;
+    };
+    const Case cases[] = {
+        {&gradient, good_gradient,
+         {&short_vector, &s.qd, &ref.qdd, &ref.mass_inv}, "'q'"},
+        {&gradient, good_gradient,
+         {&s.q, &s.qd, &short_vector, &ref.mass_inv}, "'qdd'"},
+        {&gradient, good_gradient,
+         {&s.q, &s.qd, &ref.qdd, &narrow_minv}, "'minv'"},
+        {&mass, InputPacket{&s.q}, InputPacket{&short_vector}, "'q'"},
+        {&kinematics, InputPacket{&s.q, &s.qd},
+         InputPacket{&s.q, &short_vector}, "'qd'"},
+    };
+    const std::string size = "n = " + std::to_string(n);
+
+    for (const Case &c : cases) {
+        const std::string what =
+            std::string(to_string(c.design->kernel())) + " " + c.field;
+        const SimEngine engine(*c.design);
+        auto ws = engine.make_workspace();
+        EngineResult one;
+        try {
+            engine.run(ws, c.bad, one);
+            ADD_FAILURE() << what << ": run() did not throw";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+                << what << ": " << e.what();
+            EXPECT_NE(std::string(e.what()).find(size), std::string::npos)
+                << what << ": " << e.what();
+        }
+
+        // The bad packet sits after a full lane group of good ones.
+        std::vector<InputPacket> packets(simd::kMaxLaneWidth + 2, c.good);
+        packets.back() = c.bad;
+        std::vector<EngineResult> out(packets.size());
+        SimEngine::BatchWorkspace batch;
+        EXPECT_THROW(engine.run_batch(packets, out, batch, 4),
+                     std::invalid_argument)
+            << what;
+        for (const EngineResult &r : out)
+            EXPECT_EQ(r.tau.size() + r.mass.rows() + r.base_to_link.size(),
+                      0u)
+                << what;
+    }
 }
 
 TEST(SimEngineInputs, RunRejectsWorkspacesOfAnotherEngine)

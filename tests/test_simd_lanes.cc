@@ -2,15 +2,15 @@
  * @file
  * SIMD batch-lane suite (accel/simd_lanes.h): backend dispatch behaves as
  * documented, and — the exactness policy — every instantiation of the lane
- * kernel (W = 1 through run() and batch tails, the generic, AVX2 and
- * AVX-512 groups) produces results bit-identical to the legacy simulate(),
- * an independently written interpreter, packet for packet, at every batch
- * size (especially tails that are not a multiple of the lane width) and
- * every thread count.
+ * kernel (W = 1 through run(), the scalar backend and leftover packets,
+ * the AVX2 and AVX-512 groups) produces results bit-identical to the
+ * legacy simulate(), an independently written interpreter, packet for
+ * packet, at every batch size (especially ones that are not a multiple of
+ * the lane width) and every thread count.
  *
  * On a -DROBOSHAPE_SIMD=OFF build (or a non-x86 host without the AVX
- * TUs) the backend list shrinks accordingly and the exactness loops run
- * over whatever is available; the dispatch tests still run.
+ * TUs) the backend list is scalar alone and the exactness loops run over
+ * it; the dispatch tests still run.
  */
 
 #include <gtest/gtest.h>
@@ -103,11 +103,10 @@ TEST(SimdLaneDispatch, ScalarBackendAlwaysAvailable)
     ASSERT_FALSE(backends.empty());
     EXPECT_STREQ(backends.front()->name, "scalar");
     EXPECT_EQ(backends.front()->width, 1u);
-    EXPECT_EQ(backends.front()->gradient, nullptr);
-    for (const simd::LaneBackend *b : backends) {
-        if (b->gradient != nullptr) {
-            EXPECT_GE(b->width, 4u) << b->name;
-        }
+    EXPECT_EQ(backends.front()->gradient, &simd::run_gradient_lanes_scalar);
+    for (std::size_t i = 1; i < backends.size(); ++i) {
+        EXPECT_NE(backends[i]->gradient, nullptr) << backends[i]->name;
+        EXPECT_GE(backends[i]->width, 4u) << backends[i]->name;
     }
 }
 
@@ -123,10 +122,10 @@ TEST(SimdLaneDispatch, SetBackendByNameAndRejectUnknown)
     ASSERT_TRUE(simd::set_lane_backend("scalar"));
     EXPECT_FALSE(simd::set_lane_backend("not-a-backend"));
     EXPECT_STREQ(simd::lane_backend().name, "scalar");
-    // "off" is an alias for scalar; "auto" re-runs detection.
-    EXPECT_TRUE(simd::set_lane_backend("off"));
-    EXPECT_STREQ(simd::lane_backend().name, "scalar");
+    // "auto" re-runs detection: the last, widest listed backend.
     EXPECT_TRUE(simd::set_lane_backend("auto"));
+    EXPECT_STREQ(simd::lane_backend().name,
+                 simd::available_lane_backends().back()->name);
 }
 
 // ------------------------------------- lane-vs-legacy bit exactness ----
@@ -199,9 +198,8 @@ TEST(SimdLaneExactness, WorkspaceReuseAcrossSizesStaysExact)
     }
 }
 
-// Forcing the scalar backend must take the one-packet-at-a-time shard
-// path even for wide batches (this is what ROBOSHAPE_SIMD=off guarantees
-// at runtime), and run() must match legacy on its own.
+// Forcing the scalar backend must run even wide batches one packet at a
+// time through the W = 1 kernel, and run() must match legacy on its own.
 TEST(SimdLaneExactness, ForcedScalarWideBatchMatches)
 {
     BackendGuard guard;
@@ -216,7 +214,7 @@ TEST(SimdLaneExactness, ForcedScalarWideBatchMatches)
                             "run() packet " + std::to_string(i));
     }
 
-    ASSERT_TRUE(simd::set_lane_backend("off"));
+    ASSERT_TRUE(simd::set_lane_backend("scalar"));
     std::vector<EngineResult> got(fx.packets.size());
     SimEngine::BatchWorkspace batch;
     engine.run_batch(fx.packets, got, batch, 2);
@@ -233,7 +231,7 @@ TEST(SimdLaneExactness, InvalidPacketThrowsOnLanePath)
     const GradientBatch fx(RobotId::kIiwa, 9, 1700);
     const SimEngine engine(fx.design);
     for (const simd::LaneBackend *b : simd::available_lane_backends()) {
-        if (b->gradient == nullptr)
+        if (b->width == 1)
             continue;
         ASSERT_TRUE(simd::set_lane_backend(b->name));
         std::vector<InputPacket> packets = fx.packets;

@@ -97,9 +97,8 @@ nondet_allowed(std::string_view path)
 bool
 env_raw_allowed(std::string_view path)
 {
-    // The validated ROBOSHAPE_THREADS and ROBOSHAPE_SIMD helpers.
-    return path == "src/core/executor.cc" ||
-           path == "src/accel/simd_lanes.cc";
+    // The validated ROBOSHAPE_THREADS helper.
+    return path == "src/core/executor.cc";
 }
 
 template <typename Table>
@@ -205,8 +204,7 @@ rule_catalog()
          "obs counter/histogram names must match the OBSERVABILITY.md "
          "counter catalog (both directions)"},
         {kRuleEnvRaw,
-         "getenv outside the validated ROBOSHAPE_THREADS/ROBOSHAPE_SIMD "
-         "helpers"},
+         "getenv outside the validated ROBOSHAPE_THREADS helper"},
         {kRuleUnusedSuppression,
          "NOLINT naming a roboshape_lint rule that suppressed nothing"},
     };
@@ -494,8 +492,7 @@ Linter::add_file(const std::string &rel_path, const std::string &content)
             f.column = t.column;
             f.message = "raw '" + t.text +
                         "' — environment knobs must go through the "
-                        "validated ROBOSHAPE_THREADS/ROBOSHAPE_SIMD "
-                        "helpers";
+                        "validated ROBOSHAPE_THREADS helper";
             f.snippet = make_snippet(content, t);
             report(std::move(f));
         }
