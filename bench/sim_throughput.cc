@@ -22,7 +22,10 @@
  * ones in ulps — the documented exactness policy is 0 ulp — and on hosts
  * with a vector backend the fleet geometric-mean wide-batch speedup must
  * meet min(kLaneSpeedupGateCap, width/2).  Both are gates, not just
- * report fields.
+ * report fields.  A ragged batch (kRaggedBatchSize packets, not a
+ * multiple of 4 or 8) runs the same comparison with its padded last
+ * group or lone W = 1 leftover; its ulp distance joins the 0-ulp gate and
+ * its packets/s are reported without a speed bound.
  *
  * Exit status is nonzero when any engine output diverges from the legacy
  * simulators, when the lane path is off by even one ulp, or when a
@@ -60,6 +63,10 @@ constexpr std::size_t kBatchSize = 64;
 /// Batch size for the scalar-vs-lane comparison: wide enough that the
 /// lane groups dominate and the tail is noise.
 constexpr std::size_t kWideBatchSize = 256;
+/// Batch size of the ragged comparison: perfbench mpc_batch's horizon,
+/// which leaves a padded group of 5 packets at W = 8 and a lone W = 1
+/// packet at W = 4.
+constexpr std::size_t kRaggedBatchSize = 45;
 /// Required wide-batch lane speedup over the forced-scalar path when a
 /// vector backend is active, gated on the geometric mean across the
 /// robot fleet (per-robot values and the fleet minimum are reported as
@@ -232,14 +239,14 @@ struct BatchPoint
     bool identical = false;
 };
 
-/** Scalar-vs-lane comparison on one wide batch (gradient kernel only). */
+/** Scalar-vs-lane comparison on one batch (gradient kernel only). */
 struct LaneSection
 {
     bool measured = false;       ///< False when no vector backend exists.
     const char *backend = "scalar";
     std::size_t width = 1;
-    double scalar_cps = 0.0;     ///< Forced-scalar backend, 1 thread.
-    double lane_cps = 0.0;       ///< Lane path, same batch, 1 thread.
+    double scalar_cps = 0.0;     ///< Forced-scalar packets/s, 1 thread.
+    double lane_cps = 0.0;       ///< Lane path packets/s, same batch.
     double speedup = 1.0;
     std::uint64_t max_ulp = 0;   ///< Lane vs scalar outputs (gate: 0).
     bool stats_match = true;     ///< tasks_executed + mm_stats identical.
@@ -254,7 +261,8 @@ struct KernelRow
     double divergence = 0.0;       ///< vs legacy, staged order.
     double divergence_pipelined = 0.0;
     std::vector<BatchPoint> batch; ///< Gradient kernel only.
-    LaneSection lane;              ///< Gradient kernel only.
+    LaneSection lane;              ///< Gradient kernel only, wide batch.
+    LaneSection ragged;            ///< Gradient kernel only, ragged batch.
 };
 
 /** Per-packet gradient inputs with stable addresses for InputPacket. */
@@ -280,6 +288,71 @@ make_gradient_inputs(const topology::RobotModel &model,
         in.minv.push_back(ref.mass_inv);
     }
     return in;
+}
+
+/** @p count packets cycling through @p in. */
+std::vector<accel::InputPacket>
+cycled_packets(const GradientInputs &in, std::size_t count)
+{
+    std::vector<accel::InputPacket> packets(count);
+    for (std::size_t p = 0; p < count; ++p) {
+        const std::size_t s = p % in.q.size();
+        packets[p] = accel::InputPacket{&in.q[s], &in.qd[s], &in.qdd[s],
+                                        &in.minv[s]};
+    }
+    return packets;
+}
+
+/**
+ * Forced-scalar backend vs the active lane backend on one batch, single
+ * worker thread so the ratio isolates the lane effect.  The lane outputs
+ * are compared with the scalar ones in ulps; without a vector backend the
+ * two passes are the same and only the scalar one runs.
+ */
+LaneSection
+compare_lanes(const accel::SimEngine &engine,
+              const std::vector<accel::InputPacket> &packets)
+{
+    const accel::simd::LaneBackend &active = accel::simd::lane_backend();
+    LaneSection section;
+    section.backend = active.name;
+    section.width = active.width;
+    section.measured = active.width > 1;
+    const double count = static_cast<double>(packets.size());
+    accel::SimEngine::BatchWorkspace bws;
+    std::vector<accel::EngineResult> scalar_out(packets.size());
+    std::vector<accel::EngineResult> lane_out(packets.size());
+
+    accel::simd::set_lane_backend("scalar");
+    section.scalar_cps = count * best_calls_per_sec([&] {
+        engine.run_batch(packets, scalar_out, bws, 1);
+    });
+    // Restore the backend that was active before the forced-scalar pass
+    // (set_lane_backend by name always succeeds for a name that
+    // lane_backend() itself returned).
+    accel::simd::set_lane_backend(active.name);
+    if (!section.measured) {
+        section.lane_cps = section.scalar_cps;
+        return section;
+    }
+    section.lane_cps = count * best_calls_per_sec([&] {
+        engine.run_batch(packets, lane_out, bws, 1);
+    });
+    section.speedup = section.lane_cps / section.scalar_cps;
+    for (std::size_t p = 0; p < packets.size(); ++p) {
+        section.max_ulp = std::max(section.max_ulp,
+                                   gradient_ulp(lane_out[p], scalar_out[p]));
+        section.stats_match =
+            section.stats_match &&
+            lane_out[p].tasks_executed == scalar_out[p].tasks_executed &&
+            lane_out[p].mm_stats.block_macs ==
+                scalar_out[p].mm_stats.block_macs &&
+            lane_out[p].mm_stats.block_nops ==
+                scalar_out[p].mm_stats.block_nops &&
+            lane_out[p].mm_stats.scalar_macs ==
+                scalar_out[p].mm_stats.scalar_macs;
+    }
+    return section;
 }
 
 KernelRow
@@ -319,12 +392,8 @@ measure_gradient(const accel::AcceleratorDesign &design,
         calls_per_sec([&] { engine.run(ws, packet, out); });
 
     // Batch path: serial reference, then 1/2/4 worker threads.
-    std::vector<accel::InputPacket> packets(kBatchSize);
-    for (std::size_t p = 0; p < kBatchSize; ++p) {
-        const std::size_t s = p % in.q.size();
-        packets[p] = accel::InputPacket{&in.q[s], &in.qd[s], &in.qdd[s],
-                                        &in.minv[s]};
-    }
+    const std::vector<accel::InputPacket> packets =
+        cycled_packets(in, kBatchSize);
     std::vector<accel::EngineResult> reference(kBatchSize);
     for (std::size_t p = 0; p < kBatchSize; ++p)
         engine.run(ws, packets[p], reference[p]);
@@ -347,60 +416,10 @@ measure_gradient(const accel::AcceleratorDesign &design,
         row.batch.push_back(point);
     }
 
-    // SIMD batch-lane section: forced-scalar vs lane backend on one wide
-    // batch, single worker thread so the ratio isolates the lane effect.
-    const accel::simd::LaneBackend &active = accel::simd::lane_backend();
-    row.lane.backend = active.name;
-    row.lane.width = active.width;
-    row.lane.measured = active.width > 1;
-    {
-        std::vector<accel::InputPacket> wide(kWideBatchSize);
-        for (std::size_t p = 0; p < kWideBatchSize; ++p) {
-            const std::size_t s = p % in.q.size();
-            wide[p] = accel::InputPacket{&in.q[s], &in.qd[s], &in.qdd[s],
-                                         &in.minv[s]};
-        }
-        accel::SimEngine::BatchWorkspace bws;
-        std::vector<accel::EngineResult> scalar_out(kWideBatchSize);
-        std::vector<accel::EngineResult> lane_out(kWideBatchSize);
-
-        accel::simd::set_lane_backend("scalar");
-        const double scalar_bps = best_calls_per_sec([&] {
-            engine.run_batch(wide, scalar_out, bws, 1);
-        });
-        row.lane.scalar_cps =
-            scalar_bps * static_cast<double>(kWideBatchSize);
-
-        // Restore the backend that was active before the forced-scalar
-        // pass (set_lane_backend by name always succeeds for a name that
-        // lane_backend() itself returned).
-        accel::simd::set_lane_backend(active.name);
-        if (row.lane.measured) {
-            const double lane_bps = best_calls_per_sec([&] {
-                engine.run_batch(wide, lane_out, bws, 1);
-            });
-            row.lane.lane_cps =
-                lane_bps * static_cast<double>(kWideBatchSize);
-            row.lane.speedup = row.lane.lane_cps / row.lane.scalar_cps;
-            for (std::size_t p = 0; p < kWideBatchSize; ++p) {
-                row.lane.max_ulp =
-                    std::max(row.lane.max_ulp,
-                             gradient_ulp(lane_out[p], scalar_out[p]));
-                row.lane.stats_match =
-                    row.lane.stats_match &&
-                    lane_out[p].tasks_executed ==
-                        scalar_out[p].tasks_executed &&
-                    lane_out[p].mm_stats.block_macs ==
-                        scalar_out[p].mm_stats.block_macs &&
-                    lane_out[p].mm_stats.block_nops ==
-                        scalar_out[p].mm_stats.block_nops &&
-                    lane_out[p].mm_stats.scalar_macs ==
-                        scalar_out[p].mm_stats.scalar_macs;
-            }
-        } else {
-            row.lane.lane_cps = row.lane.scalar_cps;
-        }
-    }
+    // SIMD batch-lane sections: one wide batch, where the full groups
+    // dominate, and one ragged batch with a leftover.
+    row.lane = compare_lanes(engine, cycled_packets(in, kWideBatchSize));
+    row.ragged = compare_lanes(engine, cycled_packets(in, kRaggedBatchSize));
     return row;
 }
 
@@ -509,6 +528,14 @@ write_kernel_json(obs::JsonWriter &w, const KernelRow &row)
         w.kv("max_ulp", row.lane.max_ulp);
         w.kv("stats_match", row.lane.stats_match);
         w.end_object();
+        w.key("ragged").begin_object();
+        w.kv("batch", static_cast<std::uint64_t>(kRaggedBatchSize));
+        w.kv("scalar_packets_per_sec", row.ragged.scalar_cps);
+        w.kv("lane_packets_per_sec", row.ragged.lane_cps);
+        w.kv("speedup", row.ragged.speedup);
+        w.kv("max_ulp", row.ragged.max_ulp);
+        w.kv("stats_match", row.ragged.stats_match);
+        w.end_object();
     }
     w.end_object();
 }
@@ -588,6 +615,13 @@ main(int argc, char **argv)
                         std::max(max_lane_ulp, row.lane.max_ulp);
                     if (row.lane.max_ulp != 0 || !row.lane.stats_match)
                         lane_exact = false;
+                }
+                // The ragged batch gates exactness only, with or without
+                // a vector backend.
+                max_lane_ulp = std::max(max_lane_ulp, row.ragged.max_ulp);
+                if (row.ragged.max_ulp != 0 || !row.ragged.stats_match) {
+                    lane_exact = false;
+                    all_exact = false;
                 }
             }
             write_kernel_json(w, row);

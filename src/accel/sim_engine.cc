@@ -417,7 +417,7 @@ SimEngine::run(Workspace &ws, const InputPacket &in, EngineResult &out) const
     check_workspace(ws);
     switch (design_->kernel()) {
       case sched::KernelKind::kDynamicsGradient:
-        run_gradient_group(&simd::run_gradient_lanes_scalar, 1, &in,
+        run_gradient_group(&simd::run_gradient_lanes_scalar, 1, 1, &in,
                            ws.lanes, &out);
         break;
       case sched::KernelKind::kMassMatrix:
@@ -433,8 +433,8 @@ SimEngine::run(Workspace &ws, const InputPacket &in, EngineResult &out) const
 
 void
 SimEngine::run_gradient_group(simd::GradientLaneFn kernel, std::size_t width,
-                              const InputPacket *in, simd::LaneWorkspace &lw,
-                              EngineResult *out) const
+                              std::size_t count, const InputPacket *in,
+                              simd::LaneWorkspace &lw, EngineResult *out) const
 {
     simd::GradientTraceView tv;
     tv.trace = trace_.data();
@@ -449,7 +449,8 @@ SimEngine::run_gradient_group(simd::GradientLaneFn kernel, std::size_t width,
 
     simd::marshal_gradient_group(design_->model(), n_, width, in, lw);
     kernel(tv, lw);
-    simd::demarshal_gradient_group(n_, width, trace_length(), lw, out);
+    simd::demarshal_gradient_group(n_, width, count, trace_length(), lw,
+                                   out);
 }
 
 void
@@ -571,19 +572,32 @@ SimEngine::run_batch(std::span<const InputPacket> in,
     ROBOSHAPE_OBS_COUNT("sim.batch_calls", 1);
     ROBOSHAPE_OBS_COUNT("sim.batch_packets", in.size());
 
-    // Units of the region: the W-wide lane groups in ascending order, then
-    // the leftover packets one at a time through run().  Mass-matrix and
+    // Units of the region: the full W-wide lane groups in ascending order,
+    // then the r = in.size() mod W leftover packets.  Two or more leftovers
+    // run as one more W-wide group whose lanes r .. W - 1 repeat packet
+    // r - 1 and write no result; a lone leftover runs through run().  Why
+    // r >= 2: in a microbenchmark over the six paper robots one padded
+    // group cost 1.3-1.8 W = 1 runs at W = 8 and 1.0-1.5 at W = 4, and
+    // bench/sim_throughput's lane gate (fleet geomean >= min(4, W/2))
+    // bounds a group at two W = 1 runs on the gated fleet, so two
+    // leftovers already gain and one would lose.  Mass-matrix and
     // kinematics engines and the scalar backend have no groups.  Every
-    // width runs the same kernel source (accel/simd_lanes.h), so grouping
-    // is a pure throughput decision.
+    // width runs the same kernel source (accel/simd_lanes.h) and its lanes
+    // never mix (per-lane blend masks and LaneStats).  A copy of packet
+    // r - 1 computes exactly what lane r - 1 computes (its tile-mask
+    // bits, NaNs and denormals mirror that lane's), and the group is built
+    // on the stack, so grouping and padding are pure throughput decisions.
     const simd::LaneBackend &backend = simd::lane_backend();
     const std::size_t width =
         design_->kernel() == sched::KernelKind::kDynamicsGradient
             ? backend.width
             : 1;
     const std::size_t groups = width > 1 ? in.size() / width : 0;
-    const std::size_t grouped = groups * width;
-    const std::size_t units = groups + (in.size() - grouped);
+    const std::size_t rest = in.size() - groups * width;
+    const bool padded = width > 1 && rest >= 2;
+    // Packets run inside lane groups; run() counts the others itself.
+    const std::size_t laned = padded ? in.size() : groups * width;
+    const std::size_t units = groups + (padded ? 1 : rest);
 
     core::Executor &exec = core::Executor::instance();
     const std::size_t workers = exec.resolve_width(units, threads);
@@ -592,9 +606,11 @@ SimEngine::run_batch(std::span<const InputPacket> in,
     for (std::size_t t = 0; t < workers; ++t)
         check_workspace(ws.per_thread[t]);
 
-    ROBOSHAPE_OBS_RECORD("sim.lane_width", groups > 0 ? width : 1);
-    if (width > 1)
-        ROBOSHAPE_OBS_COUNT("sim.batch_tail_packets", in.size() - grouped);
+    ROBOSHAPE_OBS_RECORD("sim.lane_width", laned > 0 ? width : 1);
+    if (width > 1) {
+        ROBOSHAPE_OBS_COUNT("sim.batch_tail_packets", in.size() - laned);
+        ROBOSHAPE_OBS_COUNT("sim.batch_pad_lanes", padded ? width - rest : 0);
+    }
 
     // A lane index is exclusive to one OS thread for the whole region, so
     // workspace[lane] is single-threaded whichever lane claims a unit, and
@@ -607,24 +623,32 @@ SimEngine::run_batch(std::span<const InputPacket> in,
         units,
         [&](std::size_t u, std::size_t lane) {
             Workspace &lane_ws = ws.per_thread[lane];
+            const std::size_t first = u * width;
             if (u < groups) {
-                run_gradient_group(backend.gradient, width,
-                                   in.data() + u * width, lane_ws.lanes,
-                                   out.data() + u * width);
+                run_gradient_group(backend.gradient, width, width,
+                                   in.data() + first, lane_ws.lanes,
+                                   out.data() + first);
                 shard[lane] += width;
+            } else if (padded) {
+                std::array<InputPacket, simd::kMaxLaneWidth> group;
+                std::copy_n(in.data() + first, rest, group.data());
+                std::fill_n(group.data() + rest, width - rest, in.back());
+                run_gradient_group(backend.gradient, width, rest,
+                                   group.data(), lane_ws.lanes,
+                                   out.data() + first);
+                shard[lane] += rest;
             } else {
-                const std::size_t i = grouped + (u - groups);
-                run(lane_ws, in[i], out[i]);
+                // One packet: unit u at W = 1, else the lone leftover.
+                run(lane_ws, in[first], out[first]);
                 ++shard[lane];
             }
         },
         workers);
-    // Shard balance: packets each lane actually executed.
+    // Shard balance: packets each lane actually executed, padding excluded.
     for (std::size_t t = 0; t < workers; ++t)
         ROBOSHAPE_OBS_RECORD("sim.batch_shard_packets", shard[t]);
-    // run() counts the leftover packets itself.
-    ROBOSHAPE_OBS_COUNT("sim.runs", grouped);
-    ROBOSHAPE_OBS_COUNT("sim.ops_executed", grouped * trace_length());
+    ROBOSHAPE_OBS_COUNT("sim.runs", laned);
+    ROBOSHAPE_OBS_COUNT("sim.ops_executed", laned * trace_length());
 }
 
 } // namespace accel

@@ -28,9 +28,10 @@
  *
  *  - run_batch() runs independent packets in one region of the
  *    persistent executor (core/executor.h) with one Workspace per lane:
- *    W-wide SIMD lane groups first, then the leftover packets.  Packets
- *    never share mutable state, so results are bit-identical at any
- *    thread count and claim interleaving.
+ *    W-wide SIMD lane groups, the last one padded when two or more
+ *    packets are left over, and a lone leftover packet through run().
+ *    Packets never share mutable state, so results are bit-identical at
+ *    any thread count and claim interleaving.
  *
  * All three Table 1 kernels are covered: the dynamics-gradient pipeline
  * (RNEA + dRNEA + blocked -M^-1 multiply), the CRBA mass matrix, and
@@ -203,13 +204,16 @@ class SimEngine
      * and lane width: the executor decides which lane runs a unit, never
      * where its output lands.
      *
-     * The region's units are, for dynamics-gradient engines, the full
-     * groups of W consecutive packets (W = simd::lane_backend().width) in
-     * ascending order, each run by the backend's W-wide kernel, then the
-     * leftover packets in ascending order, each through run().  For the
-     * other kernels every unit is one packet through run().  The lane
-     * kernel is one source at every width, so grouping changes no output
-     * bit.
+     * The region's units are, for dynamics-gradient engines with
+     * W = simd::lane_backend().width > 1, the full groups of W
+     * consecutive packets in ascending order, each run by the backend's
+     * W-wide kernel, then the r = in.size() mod W leftover packets: for
+     * r >= 2 one more W-wide group whose lanes r .. W - 1 repeat the last
+     * packet and write no result, for r = 1 the lone packet through run().
+     * For the other kernels and at W = 1 every unit is one packet through
+     * run().  The lane kernel is one source at every width and its lanes
+     * never mix, so grouping and padding change no output bit.  No packet
+     * past @p in is read and no slot past @p out is written.
      *
      * @param threads worker count; 0 defers to ROBOSHAPE_THREADS /
      *        hardware concurrency (see core::Executor::resolve_width).
@@ -236,10 +240,11 @@ class SimEngine
     void check_packet(const InputPacket &in) const;
     void check_workspace(const Workspace &ws) const;
     /** Marshals @p width validated gradient packets into @p lw, runs
-     *  @p kernel over them and scatters the results into @p out. */
+     *  @p kernel over them and scatters the first @p count results into
+     *  @p out; the other lanes are padding. */
     void run_gradient_group(simd::GradientLaneFn kernel, std::size_t width,
-                            const InputPacket *in, simd::LaneWorkspace &lw,
-                            EngineResult *out) const;
+                            std::size_t count, const InputPacket *in,
+                            simd::LaneWorkspace &lw, EngineResult *out) const;
     void run_mass_matrix(Workspace &ws, const InputPacket &in,
                          EngineResult &out) const;
     void run_kinematics(Workspace &ws, const InputPacket &in,

@@ -170,12 +170,13 @@ marshal_gradient_group([[maybe_unused]] const topology::RobotModel &model,
 }
 
 void
-demarshal_gradient_group(std::size_t n, std::size_t width, std::size_t tasks,
-                         const LaneWorkspace &ws, EngineResult *out)
+demarshal_gradient_group(std::size_t n, std::size_t width, std::size_t count,
+                         std::size_t tasks, const LaneWorkspace &ws,
+                         EngineResult *out)
 {
     const std::size_t W = width;
     // lint: warm-path begin
-    for (std::size_t l = 0; l < W; ++l) {
+    for (std::size_t l = 0; l < count; ++l) {
         EngineResult &o = out[l];
         // Cold on first touch only: a warm EngineResult is already n-sized.
         o.tau.resize(n); // NOLINT(no-alloc-warm-path)
@@ -189,7 +190,7 @@ demarshal_gradient_group(std::size_t n, std::size_t width, std::size_t tasks,
     }
     for (std::size_t i = 0; i < n; ++i) {
         const double *src = ws.tau.data() + i * W;
-        for (std::size_t l = 0; l < W; ++l)
+        for (std::size_t l = 0; l < count; ++l)
             out[l].tau[i] = src[l];
     }
     // Element-major untransposition, mirror-image of the marshal: each
@@ -199,7 +200,7 @@ demarshal_gradient_group(std::size_t n, std::size_t width, std::size_t tasks,
     const auto scatter = [&](const AlignedBuffer &src,
                              linalg::Matrix EngineResult::*field) {
         double *dst[kMaxLaneWidth];
-        for (std::size_t l = 0; l < W; ++l) {
+        for (std::size_t l = 0; l < count; ++l) {
             linalg::Matrix &m = out[l].*field;
             if (m.rows() != n || m.cols() != n)
                 m.resize(n, n); // NOLINT(no-alloc-warm-path) cold first touch
@@ -207,7 +208,7 @@ demarshal_gradient_group(std::size_t n, std::size_t width, std::size_t tasks,
         }
         for (std::size_t k = 0; k < n * n; ++k) {
             const double *row = src.data() + k * W;
-            for (std::size_t l = 0; l < W; ++l)
+            for (std::size_t l = 0; l < count; ++l)
                 dst[l][k] = row[l];
         }
     };

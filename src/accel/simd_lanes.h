@@ -223,13 +223,16 @@ void marshal_gradient_group(const topology::RobotModel &model,
                             const InputPacket *packets, LaneWorkspace &ws);
 
 /**
- * Scatters one executed lane group back into per-packet EngineResults,
- * sizing their gradient fields on first use.  @p tasks is the engine's
- * trace length (position + velocity passes).
+ * Scatters lanes 0 .. @p count - 1 of one executed group of @p width
+ * lanes into @p out[0 .. count), sizing their gradient fields on first
+ * use; @p width stays the stride of every lane-major row.  Lanes @p count
+ * .. width - 1 are padding (run_batch fills a short last group with
+ * copies of its last packet) and write no result.  @p tasks is the
+ * engine's trace length (position + velocity passes).
  */
 void demarshal_gradient_group(std::size_t n, std::size_t width,
-                              std::size_t tasks, const LaneWorkspace &ws,
-                              EngineResult *out);
+                              std::size_t count, std::size_t tasks,
+                              const LaneWorkspace &ws, EngineResult *out);
 
 } // namespace simd
 } // namespace accel

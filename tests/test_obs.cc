@@ -764,7 +764,9 @@ TEST(WallTrace, RunBatchEmitsSpansPerLaneGroup)
 
 // run_batch runs every packet, lane groups and leftovers alike, on some
 // executor lane of one region: the per-lane shard histogram sums to the
-// batch size, and the leftover packets are the W = 1 tail.
+// batch size and padded lanes count nowhere but sim.batch_pad_lanes.  At
+// W > 1 a 2W + 3 batch ends in a padded group (W - 3 pad lanes, no tail)
+// and a 2W + 1 batch in a lone W = 1 tail packet (no pad lanes).
 TEST(SimCounters, RunBatchShardsSumToTheBatchSize)
 {
 #ifdef ROBOSHAPE_NO_OBS
@@ -796,17 +798,33 @@ TEST(SimCounters, RunBatchShardsSumToTheBatchSize)
     engine.run_batch(packets, out, batch, 4); // warm
     Histogram &shards = registry().histogram("sim.batch_shard_packets");
     Counter &tail = registry().counter("sim.batch_tail_packets");
+    Counter &pad = registry().counter("sim.batch_pad_lanes");
     Counter &runs = registry().counter("sim.runs");
-    const std::int64_t shards_before = shards.snapshot().sum;
-    const std::uint64_t tail_before = tail.value();
-    const std::uint64_t runs_before = runs.value();
-    engine.run_batch(packets, out, batch, 4);
+    // The scalar backend has no groups, so nothing counts as a tail or a
+    // pad lane.
+    struct Case
+    {
+        std::size_t size, tail, pad;
+    };
+    const Case cases[] = {
+        {count, 0, width > 1 ? width - 3 : 0},
+        {2 * width + 1, width > 1 ? 1u : 0u, 0},
+    };
+    for (const Case &c : cases) {
+        const std::int64_t shards_before = shards.snapshot().sum;
+        const std::uint64_t tail_before = tail.value();
+        const std::uint64_t pad_before = pad.value();
+        const std::uint64_t runs_before = runs.value();
+        engine.run_batch(std::span(packets).first(c.size),
+                         std::span(out).first(c.size), batch, 4);
 
-    EXPECT_EQ(shards.snapshot().sum - shards_before,
-              static_cast<std::int64_t>(count));
-    // The scalar backend has no groups, so nothing counts as a tail.
-    EXPECT_EQ(tail.value() - tail_before, width > 1 ? 3u : 0u);
-    EXPECT_EQ(runs.value() - runs_before, count);
+        EXPECT_EQ(shards.snapshot().sum - shards_before,
+                  static_cast<std::int64_t>(c.size))
+            << c.size;
+        EXPECT_EQ(tail.value() - tail_before, c.tail) << c.size;
+        EXPECT_EQ(pad.value() - pad_before, c.pad) << c.size;
+        EXPECT_EQ(runs.value() - runs_before, c.size) << c.size;
+    }
 }
 
 // ------------------------------------------------------ sweep memo stats ----

@@ -613,9 +613,7 @@ TEST(SimEngineAllocations, WarmRunsAreAllocationFree)
     }
 }
 
-// Batch fixture of the warm-batch test: 13 gradient packets (on a lane
-// build that is full lane group(s) plus a W = 1 tail, so both paths and
-// the lane workspaces get warmed and checked).
+// Batch fixture of the warm-batch test: `count` iiwa gradient packets.
 struct BatchFixture
 {
     RobotModel m = build_robot(RobotId::kIiwa);
@@ -641,22 +639,28 @@ struct BatchFixture
 
 // run_batch with a caller workspace must be heap-free once warm — SIMD
 // lane groups included (their SoA buffers grow on the first call only;
-// the aligned operator new hook above counts them).  threads=1 keeps the
-// fork-join pool from spawning (thread creation allocates by design).
+// the aligned operator new hook above counts them).  At W = 8 the 13
+// packets are one full group and a padded group of 5 (13 = W + 5), and
+// the 2W + 1 packets end in a lone W = 1 packet, so the padded group and
+// the tail are both checked.  threads=1 keeps the fork-join pool from
+// spawning (thread creation allocates by design).
 TEST(SimEngineAllocations, WarmBatchesAreAllocationFree)
 {
 #if !ROBOSHAPE_COUNT_ALLOCS
     GTEST_SKIP() << "allocation counting disabled under sanitizers";
 #endif
-    const BatchFixture fx(13);
-    const SimEngine engine(fx.design);
-    std::vector<EngineResult> out(fx.packets.size());
-    SimEngine::BatchWorkspace ws;
-    engine.run_batch(fx.packets, out, ws, 1); // warm-up sizes everything
-    alloc_counter_arm();
-    engine.run_batch(fx.packets, out, ws, 1);
-    engine.run_batch(fx.packets, out, ws, 1);
-    EXPECT_EQ(alloc_counter_read(), 0u);
+    const std::size_t width = simd::lane_backend().width;
+    for (const std::size_t count : {std::size_t{13}, 2 * width + 1}) {
+        const BatchFixture fx(count);
+        const SimEngine engine(fx.design);
+        std::vector<EngineResult> out(fx.packets.size());
+        SimEngine::BatchWorkspace ws;
+        engine.run_batch(fx.packets, out, ws, 1); // warm-up sizes everything
+        alloc_counter_arm();
+        engine.run_batch(fx.packets, out, ws, 1);
+        engine.run_batch(fx.packets, out, ws, 1);
+        EXPECT_EQ(alloc_counter_read(), 0u) << count << " packets";
+    }
 }
 
 } // namespace

@@ -2,11 +2,12 @@
  * @file
  * SIMD batch-lane suite (accel/simd_lanes.h): backend dispatch behaves as
  * documented, and — the exactness policy — every instantiation of the lane
- * kernel (W = 1 through run(), the scalar backend and leftover packets,
- * the AVX2 and AVX-512 groups) produces results bit-identical to the
- * legacy simulate(), an independently written interpreter, packet for
- * packet, at every batch size (especially ones that are not a multiple of
- * the lane width) and every thread count.
+ * kernel (W = 1 through run(), the scalar backend and a lone leftover
+ * packet, the AVX2 and AVX-512 groups, padded last groups included)
+ * produces results bit-identical to the legacy simulate(), an
+ * independently written interpreter, packet for packet, at every batch
+ * size (especially ones that are not a multiple of the lane width) and
+ * every thread count.
  *
  * On a -DROBOSHAPE_SIMD=OFF build (or a non-x86 host without the AVX
  * TUs) the backend list is scalar alone and the exactness loops run over
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "accel/simd_lanes.h"
 #include "dynamics/fd_derivatives.h"
 #include "dynamics/robot_state.h"
+#include "obs/wall_trace.h"
 #include "topology/robot_library.h"
 #include "topology/topology_info.h"
 
@@ -88,6 +91,33 @@ expect_packet_exact(const EngineResult &got, const SimResult &want,
         << what;
     EXPECT_EQ(linalg::max_abs_diff(got.dqdd_dq, want.dqdd_dq), 0.0) << what;
     EXPECT_EQ(linalg::max_abs_diff(got.dqdd_dqd, want.dqdd_dqd), 0.0)
+        << what;
+    EXPECT_EQ(got.tasks_executed, want.tasks_executed) << what;
+    EXPECT_EQ(got.mm_stats.block_macs, want.mm_stats.block_macs) << what;
+    EXPECT_EQ(got.mm_stats.block_nops, want.mm_stats.block_nops) << what;
+    EXPECT_EQ(got.mm_stats.scalar_macs, want.mm_stats.scalar_macs) << what;
+}
+
+/** Same bits, the sign of zero included. */
+bool
+same_bits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(),
+                                     a.size() * sizeof(double)) == 0);
+}
+
+/** Bit-identical gradient outputs and identical operation counts. */
+void
+expect_packet_identical(const EngineResult &got, const EngineResult &want,
+                        const std::string &what)
+{
+    EXPECT_TRUE(same_bits(got.tau.data(), want.tau.data())) << what;
+    EXPECT_TRUE(same_bits(got.dtau_dq.data(), want.dtau_dq.data())) << what;
+    EXPECT_TRUE(same_bits(got.dtau_dqd.data(), want.dtau_dqd.data()))
+        << what;
+    EXPECT_TRUE(same_bits(got.dqdd_dq.data(), want.dqdd_dq.data())) << what;
+    EXPECT_TRUE(same_bits(got.dqdd_dqd.data(), want.dqdd_dqd.data()))
         << what;
     EXPECT_EQ(got.tasks_executed, want.tasks_executed) << what;
     EXPECT_EQ(got.mm_stats.block_macs, want.mm_stats.block_macs) << what;
@@ -172,8 +202,8 @@ TEST(SimdLaneExactness, TailSizesMatchScalarAtEveryThreadCount)
 
 // Reusing one BatchWorkspace across different batch sizes and backends
 // must not leak state between runs (buffers are grow-only and fully
-// rewritten per group, and a worker's lane workspace serves both its
-// W-wide groups and the W = 1 tail).
+// rewritten per group, and a worker's lane workspace serves its full and
+// padded W-wide groups and a lone W = 1 packet alike).
 TEST(SimdLaneExactness, WorkspaceReuseAcrossSizesStaysExact)
 {
     BackendGuard guard;
@@ -243,6 +273,99 @@ TEST(SimdLaneExactness, InvalidPacketThrowsOnLanePath)
                      std::invalid_argument)
             << b->name;
     }
+}
+
+// ------------------------------------------------ padded last group ----
+
+// A 2W + r batch runs its r >= 2 leftover packets as one more W-wide group
+// whose lanes r .. W - 1 repeat packet r - 1.  For every backend, every r
+// in [0, W) and each paper robot, every packet must equal run() bit for
+// bit, and the group must write only its r real results: the batch runs
+// on the front of a longer result vector whose trailing sentinel slots
+// must come back untouched.
+TEST(SimdLanePadding, RaggedBatchesMatchRunBitForBit)
+{
+    BackendGuard guard;
+    const auto backends = simd::available_lane_backends();
+    // 2W + r < 3W for the widest backend.
+    const std::size_t max_count = 3 * backends.back()->width;
+    for (const RobotId robot :
+         {RobotId::kIiwa, RobotId::kHyq, RobotId::kBaxter, RobotId::kJaco2,
+          RobotId::kJaco3, RobotId::kHyqWithArm}) {
+        const GradientBatch fx(robot, max_count, 2100);
+        const SimEngine engine(fx.design);
+        auto ws = engine.make_workspace();
+        std::vector<EngineResult> want(max_count);
+        for (std::size_t i = 0; i < max_count; ++i)
+            engine.run(ws, fx.packets[i], want[i]);
+
+        for (const simd::LaneBackend *b : backends) {
+            ASSERT_TRUE(simd::set_lane_backend(b->name));
+            const std::size_t w = b->width;
+            for (std::size_t r = 0; r < w; ++r) {
+                const std::size_t count = 2 * w + r;
+                for (const std::size_t threads : {1u, 4u}) {
+                    std::vector<EngineResult> got(count + w);
+                    for (std::size_t i = count; i < got.size(); ++i)
+                        got[i].tasks_executed = 777;
+                    SimEngine::BatchWorkspace batch;
+                    engine.run_batch(std::span(fx.packets).first(count),
+                                     std::span(got).first(count), batch,
+                                     threads);
+                    const std::string what =
+                        std::string(topology::robot_name(robot)) + " " +
+                        b->name + " r " +
+                        std::to_string(r) + " threads " +
+                        std::to_string(threads);
+                    for (std::size_t i = 0; i < count; ++i)
+                        expect_packet_identical(
+                            got[i], want[i],
+                            what + " packet " + std::to_string(i));
+                    for (std::size_t i = count; i < got.size(); ++i) {
+                        EXPECT_EQ(got[i].tasks_executed, 777u)
+                            << what << " sentinel " << i;
+                        EXPECT_EQ(got[i].tau.size(), 0u)
+                            << what << " sentinel " << i;
+                    }
+                }
+            }
+        }
+    }
+}
+
+// With wall tracing on, a W + 2 batch runs two lane groups, the full one
+// and the padded one, and the kernel records one sim.marshal span per
+// group (a W = 1 tail would record one per leftover packet).
+TEST(SimdLanePadding, PaddedGroupRecordsOneMarshalSpan)
+{
+#ifdef ROBOSHAPE_NO_OBS
+    GTEST_SKIP() << "wall-trace spans compiled out";
+#endif
+    BackendGuard guard;
+    const GradientBatch fx(RobotId::kIiwa, simd::kMaxLaneWidth + 2, 2500);
+    const SimEngine engine(fx.design);
+    bool measured = false;
+    for (const simd::LaneBackend *b : simd::available_lane_backends()) {
+        if (b->width == 1)
+            continue;
+        measured = true;
+        ASSERT_TRUE(simd::set_lane_backend(b->name));
+        const std::size_t count = b->width + 2;
+        std::vector<EngineResult> got(count);
+        SimEngine::BatchWorkspace batch;
+        obs::set_wall_trace_enabled(true);
+        obs::clear_wall_trace();
+        engine.run_batch(std::span(fx.packets).first(count), got, batch, 1);
+        const auto spans = obs::wall_trace_spans();
+        obs::set_wall_trace_enabled(false);
+        obs::clear_wall_trace();
+        std::size_t marshal = 0;
+        for (const obs::WallSpan &s : spans)
+            marshal += std::string(s.name) == "sim.marshal";
+        EXPECT_EQ(marshal, 2u) << b->name;
+    }
+    if (!measured)
+        GTEST_SKIP() << "no backend wider than one lane";
 }
 
 } // namespace
