@@ -13,10 +13,7 @@
  * order flipping from pair to pair, and the gate reads the median of the
  * per-pair rate ratios: host noise that drifts slower than one pair hits
  * both of its windows alike, and the median drops the pairs a burst
- * split, so no single lucky window decides the gate.  Under
- * -DROBOSHAPE_NO_OBS the comparison degenerates to identical binaries and
- * the gate passes trivially — that configuration's claim ("compiled out")
- * is checked by the build, not by timing.
+ * split, so no single lucky window decides the gate.
  *
  * Flags:
  *   --json <path>   also write the JSON document to a file
@@ -44,7 +41,7 @@ using namespace roboshape;
 using Clock = std::chrono::steady_clock;
 
 constexpr double kMaxOverhead = 0.02; ///< 2% gate.
-constexpr int kPairs = 21;            ///< Alternating enabled/disabled pairs.
+constexpr int kPairs = 61;            ///< Alternating enabled/disabled pairs.
 constexpr double kWindowS = 0.02;     ///< Timed window per mode and pair.
 
 /** Runs fn repeatedly for ~@p budget_s seconds; returns calls/sec. */

@@ -28,8 +28,7 @@
 #include "core/design_space.h"
 #include "core/executor.h"
 #include "obs/json.h"
-#include "sched/block_schedule.h"
-#include "sched/list_scheduler.h"
+#include "obs/registry.h"
 #include "topology/parametric_robots.h"
 #include "topology/robot_library.h"
 
@@ -104,29 +103,32 @@ struct Row
 Row
 measure(const roboshape::topology::RobotModel &model, bool run_serial)
 {
-    using roboshape::sched::block_schedule_invocations;
-    using roboshape::sched::list_scheduler_invocations;
+    // The registry counts every list- and block-scheduler run.
+    const roboshape::obs::Counter &list_runs =
+        roboshape::obs::registry().counter("sched.list_runs");
+    const roboshape::obs::Counter &block_runs =
+        roboshape::obs::registry().counter("sched.block_runs");
 
     Row row;
     row.name = model.name();
     row.links = model.num_links();
 
-    const std::uint64_t list0 = list_scheduler_invocations();
-    const std::uint64_t block0 = block_schedule_invocations();
+    const std::uint64_t list0 = list_runs.value();
+    const std::uint64_t block0 = block_runs.value();
     const auto t0 = std::chrono::steady_clock::now();
     const DesignSpace space = DesignSpace::sweep(model);
     row.memoized_ms = elapsed_ms(t0);
-    row.memoized_list_calls = list_scheduler_invocations() - list0;
-    row.memoized_block_calls = block_schedule_invocations() - block0;
+    row.memoized_list_calls = list_runs.value() - list0;
+    row.memoized_block_calls = block_runs.value() - block0;
     row.points = space.points().size();
 
     if (run_serial) {
-        const std::uint64_t list1 = list_scheduler_invocations();
+        const std::uint64_t list1 = list_runs.value();
         const auto t1 = std::chrono::steady_clock::now();
         const std::vector<DesignPoint> reference =
             serial_reference_sweep(model);
         row.serial_ms = elapsed_ms(t1);
-        row.serial_list_calls = list_scheduler_invocations() - list1;
+        row.serial_list_calls = list_runs.value() - list1;
         row.speedup = row.serial_ms / std::max(row.memoized_ms, 1e-6);
         row.compared = true;
         row.identical_points = identical(space.points(), reference);

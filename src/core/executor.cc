@@ -222,7 +222,6 @@ struct Executor::Impl
 
 Executor::Executor() : impl_(std::make_unique<Impl>())
 {
-#ifndef ROBOSHAPE_NO_OBS
     // Pre-register every exec.* entry so first use inside a measured
     // region never allocates (the allocation-free warm-submission test
     // depends on this).
@@ -230,7 +229,6 @@ Executor::Executor() : impl_(std::make_unique<Impl>())
     obs::registry().counter("exec.tasks");
     obs::registry().counter("exec.steals");
     obs::registry().counter("exec.parks");
-#endif
 }
 
 Executor::~Executor()

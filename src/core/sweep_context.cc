@@ -44,7 +44,6 @@ SweepContext::SweepContext(const topology::RobotModel &model,
     const std::size_t n = num_links();
     fwd_.resize(n);
     bwd_.resize(n);
-    pipelined_.resize(n * n);
     if (kernel_ == sched::KernelKind::kDynamicsGradient) {
         mask_a_ = sched::mass_inverse_mask(*topo_);
         mask_b_ = sched::derivative_mask(*topo_);
@@ -90,16 +89,19 @@ SweepContext::backward(std::size_t pes_bwd)
 const sched::Schedule &
 SweepContext::pipelined(std::size_t pes_fwd, std::size_t pes_bwd)
 {
-    const std::size_t n = num_links();
-    assert(pes_fwd >= 1 && pes_fwd <= n && pes_bwd >= 1 && pes_bwd <= n);
-    std::unique_ptr<sched::Schedule> &slot =
-        pipelined_[(pes_fwd - 1) * n + (pes_bwd - 1)];
-    tally_pipelined_.count(slot != nullptr);
-    count_memo(slot != nullptr);
-    if (!slot)
-        slot = std::make_unique<sched::Schedule>(sched::schedule_pipelined(
-            *graph_, pes_fwd, pes_bwd, timing_.traversal));
-    return *slot;
+    assert(pes_fwd >= 1 && pes_fwd <= num_links() && pes_bwd >= 1 &&
+           pes_bwd <= num_links());
+    const bool hit = pipelined_ && pipelined_fwd_ == pes_fwd &&
+                     pipelined_bwd_ == pes_bwd;
+    tally_pipelined_.count(hit);
+    count_memo(hit);
+    if (!hit) {
+        pipelined_ = sched::schedule_pipelined(*graph_, pes_fwd, pes_bwd,
+                                               timing_.traversal);
+        pipelined_fwd_ = pes_fwd;
+        pipelined_bwd_ = pes_bwd;
+    }
+    return *pipelined_;
 }
 
 const sched::BlockSchedule &

@@ -9,10 +9,11 @@
  * schedule depends on only one knob (forward on PEs_fwd, backward on
  * PEs_bwd, blocked multiply on size_block) or two (pipelined on the PE
  * pair).  A SweepContext builds the invariants once and memoizes the n
- * forward, n backward, n blocked-multiply, and up to n^2 pipelined
- * schedules, so an n^3-point sweep performs O(n) scheduler passes instead
- * of O(n^3) (the pipelined schedule is not needed for sweep points at
- * all; it is computed lazily for full designs only).
+ * forward, n backward and n blocked-multiply schedules, so an n^3-point
+ * sweep performs O(n) scheduler passes instead of O(n^3).  Sweep points
+ * need no pipelined schedule at all; full designs compute it lazily, and
+ * the context keeps only the last PE pair's, so a long-lived context that
+ * designs at many pairs holds one pipelined schedule, not n^2.
  *
  * Thread-safety: precompute_stage_schedules() fills the single-knob caches
  * across the executor's lanes (each cache slot is written by exactly
@@ -95,7 +96,9 @@ class SweepContext
     const sched::Schedule &forward(std::size_t pes_fwd);
     /** Memoized backward-stage schedule for @p pes_bwd in [1, N]. */
     const sched::Schedule &backward(std::size_t pes_bwd);
-    /** Memoized joint pipelined schedule for one PE-pool pair. */
+    /** Joint pipelined schedule for one PE-pool pair, memoized for the
+     *  last pair asked only.  The reference is valid until the next
+     *  pipelined() call; design() copies it at once. */
     const sched::Schedule &pipelined(std::size_t pes_fwd,
                                      std::size_t pes_bwd);
     /** Memoized blocked-multiply schedule for @p block_size in [1, N];
@@ -155,12 +158,13 @@ class SweepContext
 
     sched::SparsityMask mask_a_, mask_b_; // blocked-multiply operands
 
-    // Caches indexed by knob - 1; null = not yet computed.  The pipelined
-    // cache is a flattened (pes_fwd - 1) * N + (pes_bwd - 1) grid.
+    // Caches indexed by knob - 1; null = not yet computed.
     std::vector<std::unique_ptr<sched::Schedule>> fwd_;
     std::vector<std::unique_ptr<sched::Schedule>> bwd_;
-    std::vector<std::unique_ptr<sched::Schedule>> pipelined_;
     std::vector<std::unique_ptr<sched::BlockSchedule>> mm_;
+    // The last pipelined schedule computed and its (pes_fwd, pes_bwd).
+    std::optional<sched::Schedule> pipelined_;
+    std::size_t pipelined_fwd_ = 0, pipelined_bwd_ = 0;
     std::optional<std::size_t> best_block_;
 
     /** Per-cache hit/miss tallies behind memo_stats().  Atomic because

@@ -19,10 +19,6 @@
  *  - Instrumentation never changes numerics: counters observe, they do not
  *    participate in any computation.
  *
- *  - Compiling with -DROBOSHAPE_NO_OBS removes every call site entirely
- *    (the ROBOSHAPE_OBS_* macros expand to no-ops), for deployments that
- *    want the instrumentation not just disabled but gone.
- *
  * Thread-safety: Counter/Histogram mutation is lock-free; creating a new
  * named counter takes a mutex once.  Snapshots are consistent per entry
  * (not across entries), which is what run reports need.
@@ -221,14 +217,13 @@ void set_enabled(bool on) noexcept;
 
 /*
  * Instrumentation macros.  Use these — not the classes directly — at hot
- * call sites, so -DROBOSHAPE_NO_OBS compiles the instrumentation out.
+ * call sites: each resolves its registry entry once into a static.
  *
  *   ROBOSHAPE_OBS_COUNT(name, n)   bump counter `name` by n
  *   ROBOSHAPE_OBS_RECORD(name, v)  record v into histogram `name`
  *
  * `name` must be a string literal (it keys the registry map once).
  */
-#ifndef ROBOSHAPE_NO_OBS
 #define ROBOSHAPE_OBS_COUNT(name, n)                                        \
     do {                                                                    \
         if (::roboshape::obs::enabled()) {                                  \
@@ -246,15 +241,5 @@ void set_enabled(bool on) noexcept;
             roboshape_obs_hist_.record(static_cast<std::int64_t>(v));       \
         }                                                                   \
     } while (0)
-#else
-#define ROBOSHAPE_OBS_COUNT(name, n)                                        \
-    do {                                                                    \
-        (void)sizeof(n);                                                    \
-    } while (0)
-#define ROBOSHAPE_OBS_RECORD(name, v)                                       \
-    do {                                                                    \
-        (void)sizeof(v);                                                    \
-    } while (0)
-#endif
 
 #endif // ROBOSHAPE_OBS_REGISTRY_H

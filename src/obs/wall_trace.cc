@@ -62,12 +62,8 @@ wall_now_ns() noexcept
 bool
 wall_trace_enabled() noexcept
 {
-#ifdef ROBOSHAPE_NO_OBS
-    return false;
-#else
     return g_tracing.load(std::memory_order_relaxed) ||
            g_forced.load(std::memory_order_relaxed) > 0;
-#endif
 }
 
 void

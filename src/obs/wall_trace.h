@@ -15,9 +15,6 @@
  * load).  When off, the only cost is that load and a predicted branch.
  * Span recording itself takes a mutex — acceptable for a mode whose whole
  * point is to be turned on briefly around a region of interest.
- *
- * Compiled out entirely under -DROBOSHAPE_NO_OBS (the macros below become
- * no-ops; the functions remain linkable but record nothing).
  */
 
 #ifndef ROBOSHAPE_OBS_WALL_TRACE_H
@@ -113,13 +110,7 @@ class ScopedWallSpan
 } // namespace obs
 } // namespace roboshape
 
-#ifndef ROBOSHAPE_NO_OBS
 #define ROBOSHAPE_OBS_SPAN(var, name)                                       \
     ::roboshape::obs::ScopedWallSpan var(name)
-#else
-#define ROBOSHAPE_OBS_SPAN(var, name)                                       \
-    do {                                                                    \
-    } while (0)
-#endif
 
 #endif // ROBOSHAPE_OBS_WALL_TRACE_H

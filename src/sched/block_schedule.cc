@@ -6,7 +6,6 @@
 #include "sched/block_schedule.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "obs/registry.h"
@@ -33,8 +32,6 @@ derivative_mask(const topology::TopologyInfo &topo)
 }
 
 namespace {
-
-std::atomic<std::uint64_t> g_invocations{0};
 
 /** Tile-level nonzero map of an element mask under a block size. */
 struct TileMask
@@ -102,7 +99,6 @@ schedule_block_multiply(const SparsityMask &a, const SparsityMask &b,
 {
     assert(!a.empty() && a.size() == b.size());
     assert(block_size > 0 && units > 0);
-    g_invocations.fetch_add(1, std::memory_order_relaxed);
 
     Workspace &ws = workspace();
     TileMask &ta = ws.ta;
@@ -160,12 +156,6 @@ schedule_block_multiply(const SparsityMask &a, const SparsityMask &b,
     ROBOSHAPE_OBS_COUNT("sched.block_padded_zeros",
                         out.padded_zero_elements);
     return out;
-}
-
-std::uint64_t
-block_schedule_invocations()
-{
-    return g_invocations.load(std::memory_order_relaxed);
 }
 
 } // namespace sched

@@ -77,13 +77,6 @@ BlockSchedule schedule_block_multiply(const SparsityMask &a,
                                       std::size_t num_products = 2,
                                       bool skip_zero_tiles = true);
 
-/**
- * Process-wide count of schedule_block_multiply runs.  Monotonic and
- * thread-safe; the sweep equivalence tests read deltas to assert the
- * memoized sweep schedules each block size once.
- */
-std::uint64_t block_schedule_invocations();
-
 } // namespace sched
 } // namespace roboshape
 

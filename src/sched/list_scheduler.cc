@@ -6,7 +6,6 @@
 #include "sched/list_scheduler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <map>
 #include <sstream>
@@ -48,8 +47,6 @@ pe_class_of(TaskType t)
 }
 
 namespace {
-
-std::atomic<std::uint64_t> g_invocations{0};
 
 /**
  * Reusable per-thread scratch buffers of the engine.  A design-space sweep
@@ -344,7 +341,6 @@ schedule_stage(const TaskGraph &graph, const std::vector<TaskType> &types,
                std::size_t pe_count, const TaskTiming &timing,
                const SchedulerOptions &options)
 {
-    g_invocations.fetch_add(1, std::memory_order_relaxed);
     std::vector<bool> active(graph.size(), false);
     bool fwd = false, bwd = false;
     for (TaskType t : types) {
@@ -363,17 +359,10 @@ schedule_pipelined(const TaskGraph &graph, std::size_t pes_fwd,
                    std::size_t pes_bwd, const TaskTiming &timing,
                    const SchedulerOptions &options)
 {
-    g_invocations.fetch_add(1, std::memory_order_relaxed);
     std::vector<bool> active(graph.size(), true);
     Engine engine(graph, timing, pes_fwd, pes_bwd, std::move(active),
                   /*cross_stage_deps=*/true, options);
     return engine.run();
-}
-
-std::uint64_t
-list_scheduler_invocations()
-{
-    return g_invocations.load(std::memory_order_relaxed);
 }
 
 std::string

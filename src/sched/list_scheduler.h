@@ -129,14 +129,6 @@ Schedule schedule_pipelined(const TaskGraph &graph, std::size_t pes_fwd,
  */
 std::string validate_schedule(const TaskGraph &graph, const Schedule &s);
 
-/**
- * Process-wide count of list-scheduler runs (schedule_stage plus
- * schedule_pipelined calls).  Monotonic and thread-safe; read a delta
- * around a region of interest to assert memoization bounds (the sweep
- * equivalence tests and bench/sweep_throughput do).
- */
-std::uint64_t list_scheduler_invocations();
-
 } // namespace sched
 } // namespace roboshape
 

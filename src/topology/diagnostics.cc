@@ -172,7 +172,6 @@ ValidationReport::add(Diagnostic d)
         ROBOSHAPE_OBS_COUNT("urdf.errors", 1);
     else
         ROBOSHAPE_OBS_COUNT("urdf.warnings", 1);
-#ifndef ROBOSHAPE_NO_OBS
     // Per-ParseErrorCode tallies.  The name is dynamic, so this goes
     // through the registry directly instead of the static-caching macro.
     if (obs::enabled())
@@ -180,7 +179,6 @@ ValidationReport::add(Diagnostic d)
             .counter(std::string("urdf.diag.") +
                      topology::to_string(d.code))
             .add(1);
-#endif
     diagnostics_.push_back(std::move(d));
 }
 

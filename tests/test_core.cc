@@ -10,8 +10,7 @@
 #include "core/design_export.h"
 #include "core/soc_codesign.h"
 #include "core/sweep_context.h"
-#include "sched/block_schedule.h"
-#include "sched/list_scheduler.h"
+#include "obs/registry.h"
 #include "topology/parametric_robots.h"
 #include "topology/robot_library.h"
 
@@ -401,26 +400,33 @@ TEST(SweepEquivalence, MatchesSerialReferencePointForPoint)
 {
     // The memoized + threaded sweep must be a pure optimization: identical
     // (params, cycles, latency_us, resources) per point, in identical
-    // order, while invoking the list scheduler O(n) times instead of
-    // O(n^3) (the issue's bound is O(n^2); the sweep needs no pipelined
-    // schedules at all).
+    // order, while running the list scheduler once per forward and once
+    // per backward PE count (no pipelined schedules at all) and the block
+    // scheduler once per block size (gradient only), instead of O(n^3)
+    // times.  The registry counts every scheduler run.
+    obs::set_enabled(true);
+    const obs::Counter &list = obs::registry().counter("sched.list_runs");
+    const obs::Counter &block = obs::registry().counter("sched.block_runs");
     for (RobotId id : {RobotId::kIiwa, RobotId::kHyq, RobotId::kBaxter}) {
         const RobotModel m = build_robot(id);
         const std::size_t n = m.num_links();
+        for (sched::KernelKind kernel : sched::all_kernels()) {
+            const bool gradient =
+                kernel == sched::KernelKind::kDynamicsGradient;
+            const std::string what =
+                std::string(robot_name(id)) + " " + sched::to_string(kernel);
 
-        const std::uint64_t list0 = sched::list_scheduler_invocations();
-        const std::uint64_t block0 = sched::block_schedule_invocations();
-        const DesignSpace space = DesignSpace::sweep(m);
-        const std::uint64_t list_calls =
-            sched::list_scheduler_invocations() - list0;
-        const std::uint64_t block_calls =
-            sched::block_schedule_invocations() - block0;
+            const std::uint64_t list0 = list.value(), block0 = block.value();
+            const DesignSpace space =
+                DesignSpace::sweep(m, accel::default_timing(), kernel);
+            EXPECT_EQ(list.value() - list0, 2 * n) << what;
+            EXPECT_EQ(block.value() - block0, gradient ? n : 0) << what;
 
-        EXPECT_LE(list_calls, n * n + 2 * n) << robot_name(id);
-        EXPECT_LE(block_calls, n) << robot_name(id);
-
-        expect_points_identical(space.points(), reference_serial_sweep(m),
-                                robot_name(id));
+            if (gradient)
+                expect_points_identical(space.points(),
+                                        reference_serial_sweep(m),
+                                        robot_name(id));
+        }
     }
 }
 

@@ -491,9 +491,6 @@ TEST(ExecutorAllocations, WarmParallelForIsAllocationFree)
 
 TEST(ExecutorObs, StealsCountChunksRunOffTheSubmittingThread)
 {
-#ifdef ROBOSHAPE_NO_OBS
-    GTEST_SKIP() << "instrumentation compiled out";
-#endif
     // 8 indices at width 4 are 8 one-index chunks, so exec.steals must
     // grow by the indices whose callback ran on a lane other than 0.
     constexpr std::size_t kRegions = 50;

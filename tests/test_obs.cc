@@ -305,26 +305,18 @@ TEST(Registry, CountersAndHistogramsSnapshot)
     const std::uint64_t before = c.value();
     ROBOSHAPE_OBS_COUNT("test.obs.counter", 3);
     ROBOSHAPE_OBS_COUNT("test.obs.counter", 2);
-#ifndef ROBOSHAPE_NO_OBS
     EXPECT_EQ(c.value(), before + 5);
-#else
-    EXPECT_EQ(c.value(), before);
-#endif
 
     Histogram &h = registry().histogram("test.obs.hist");
     h.reset();
     ROBOSHAPE_OBS_RECORD("test.obs.hist", 4);
     ROBOSHAPE_OBS_RECORD("test.obs.hist", -2);
     const Histogram::Snapshot s = h.snapshot();
-#ifndef ROBOSHAPE_NO_OBS
     EXPECT_EQ(s.count, 2u);
     EXPECT_EQ(s.sum, 2);
     EXPECT_EQ(s.min, -2);
     EXPECT_EQ(s.max, 4);
     EXPECT_DOUBLE_EQ(s.mean(), 1.0);
-#else
-    EXPECT_EQ(s.count, 0u);
-#endif
 
     // Snapshots are sorted by name (deterministic report order).
     const auto counters = registry().counters();
@@ -655,10 +647,8 @@ TEST(WallTrace, RecordsOnlyWhenEnabled)
 
     set_wall_trace_enabled(true);
     record_wall_span("on", "phase", 10, 20);
-#ifndef ROBOSHAPE_NO_OBS
     ASSERT_EQ(wall_trace_spans().size(), 1u);
     EXPECT_STREQ(wall_trace_spans()[0].name, "on");
-#endif
     set_wall_trace_enabled(false);
     clear_wall_trace();
 }
@@ -687,7 +677,6 @@ TEST(WallTrace, SimEngineEmitsPhaseSpans)
     set_wall_trace_enabled(false);
     clear_wall_trace();
 
-#ifndef ROBOSHAPE_NO_OBS
     bool marshal = false, position = false, velocity = false, mm = false;
     std::size_t ops = 0;
     for (const WallSpan &s : spans) {
@@ -702,9 +691,6 @@ TEST(WallTrace, SimEngineEmitsPhaseSpans)
     }
     EXPECT_TRUE(marshal && position && velocity && mm);
     EXPECT_EQ(ops, out.tasks_executed);
-#else
-    EXPECT_TRUE(spans.empty());
-#endif
 }
 
 // run_batch records the same spans as run(), once per lane group: a batch
@@ -741,7 +727,6 @@ TEST(WallTrace, RunBatchEmitsSpansPerLaneGroup)
     set_wall_trace_enabled(false);
     clear_wall_trace();
 
-#ifndef ROBOSHAPE_NO_OBS
     std::size_t marshal = 0, position = 0, velocity = 0, mm = 0, ops = 0;
     for (const WallSpan &s : spans) {
         const std::string name = s.name;
@@ -757,9 +742,6 @@ TEST(WallTrace, RunBatchEmitsSpansPerLaneGroup)
     EXPECT_EQ(velocity, 1u);
     EXPECT_EQ(mm, 1u);
     EXPECT_EQ(ops, engine.trace_length());
-#else
-    EXPECT_TRUE(spans.empty());
-#endif
 }
 
 // run_batch runs every packet, lane groups and leftovers alike, on some
@@ -769,9 +751,6 @@ TEST(WallTrace, RunBatchEmitsSpansPerLaneGroup)
 // and a 2W + 1 batch in a lone W = 1 tail packet (no pad lanes).
 TEST(SimCounters, RunBatchShardsSumToTheBatchSize)
 {
-#ifdef ROBOSHAPE_NO_OBS
-    GTEST_SKIP() << "counters compiled out";
-#endif
     const RobotModel model = build_robot(RobotId::kIiwa);
     const topology::TopologyInfo topo(model);
     const accel::AcceleratorDesign design(model, {7, 7, 7});
@@ -851,6 +830,22 @@ TEST(SweepMemoStats, CountsHitsAndMisses)
     ctx.pipelined(2, 2);
     EXPECT_EQ(ctx.memo_stats().pipelined_misses, 1u);
     EXPECT_EQ(ctx.memo_stats().pipelined_hits, 1u);
+}
+
+// The pipelined memo keeps only the last PE pair, so a long-lived context
+// designing at many pairs holds one pipelined schedule: going back to an
+// earlier pair schedules it again.
+TEST(SweepMemoStats, PipelinedMemoKeepsOnlyTheLastPair)
+{
+    const RobotModel model = build_robot(RobotId::kBittle);
+    core::SweepContext ctx(model);
+    ctx.design({2, 2, 1});
+    ctx.design({3, 3, 1});
+    const accel::AcceleratorDesign again = ctx.design({2, 2, 1});
+    EXPECT_EQ(ctx.memo_stats().pipelined_misses, 3u);
+    EXPECT_EQ(ctx.memo_stats().pipelined_hits, 0u);
+    const accel::AcceleratorDesign scratch(model, {2, 2, 1});
+    EXPECT_EQ(again.pipelined().makespan, scratch.pipelined().makespan);
 }
 
 // ------------------------------------------------------ timeline glyphs ----

@@ -455,13 +455,10 @@ TEST(Service, MetricsServesPrometheusText)
     const auto type = response.header("Content-Type");
     ASSERT_TRUE(type);
     EXPECT_NE(type->find("text/plain"), std::string::npos);
-#ifndef ROBOSHAPE_NO_OBS
-    // With instrumentation compiled out the registry may be empty; with
-    // it in, the sweep above guarantees cache counters to scrape.
+    // The sweep above guarantees cache counters to scrape.
     EXPECT_NE(response.body.find("# TYPE"), std::string::npos);
     EXPECT_NE(response.body.find("roboshape_svc_cache_misses"),
               std::string::npos);
-#endif
     // Deterministic ordering: two scrapes of a quiet registry agree on
     // the family ordering (values may move, names may not).
     const auto again = svc.handle(get("/metrics"));
@@ -483,9 +480,7 @@ TEST(Service, StatzDumpsTheRegistry)
               std::string::npos);
     EXPECT_NE(response.body.find("\"git_sha\""), std::string::npos);
     EXPECT_NE(response.body.find("\"histograms\""), std::string::npos);
-#ifndef ROBOSHAPE_NO_OBS
     EXPECT_NE(response.body.find("\"p99\""), std::string::npos);
-#endif
     EXPECT_EQ(svc.handle(post("/v1/statz", "")).status, 405);
 }
 
@@ -501,13 +496,9 @@ TEST(Service, DebugTraceTogglesAtRuntime)
     const auto on =
         svc.handle(post("/v1/debug/trace", R"({"enabled": true})"));
     ASSERT_EQ(on.status, 200);
-#ifndef ROBOSHAPE_NO_OBS
     EXPECT_TRUE(obs::wall_trace_enabled());
-#endif
     state = svc.handle(get("/v1/debug/trace"));
-#ifndef ROBOSHAPE_NO_OBS
     EXPECT_NE(state.body.find("true"), std::string::npos);
-#endif
 
     const auto off =
         svc.handle(post("/v1/debug/trace", R"({"enabled": false})"));
@@ -603,12 +594,10 @@ TEST(ServerE2E, ConcurrentClientsShareTheCache)
     service::Server server(svc, options);
     ASSERT_TRUE(server.start()) << server.error();
 
-#ifndef ROBOSHAPE_NO_OBS
     std::uint64_t hits_before = 0;
     for (const auto &c : obs::registry().counters())
         if (c.name == "svc.cache_hits")
             hits_before = c.value;
-#endif
 
     // Single-client reference body first (the cold render).
     std::string reference;
@@ -652,13 +641,11 @@ TEST(ServerE2E, ConcurrentClientsShareTheCache)
     for (std::size_t t = 0; t < kThreads; ++t)
         EXPECT_EQ(mismatches[t], 0u) << "client " << t;
 
-#ifndef ROBOSHAPE_NO_OBS
     std::uint64_t hits_after = 0;
     for (const auto &c : obs::registry().counters())
         if (c.name == "svc.cache_hits")
             hits_after = c.value;
     EXPECT_GT(hits_after, hits_before);
-#endif
 }
 
 TEST(ServerE2E, OverloadShedsWith429)
@@ -782,12 +769,10 @@ TEST(ServerE2E, TracedRequestYieldsAChromeTrace)
         EXPECT_TRUE(obs::validate_json(dump->body, &error))
             << target << ": " << error;
         EXPECT_NE(dump->body.find("\"traceEvents\""), std::string::npos);
-#ifndef ROBOSHAPE_NO_OBS
         // The handler span is always present; its events carry the id.
         EXPECT_NE(dump->body.find("svc.handle"), std::string::npos);
         EXPECT_NE(dump->body.find("\"req\": " + std::string(*id)),
                   std::string::npos);
-#endif
     }
     // An untraced request must not disturb the vault.
     ASSERT_TRUE(net::roundtrip(conn, get("/healthz"), leftover, 5000));

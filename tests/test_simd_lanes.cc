@@ -338,9 +338,6 @@ TEST(SimdLanePadding, RaggedBatchesMatchRunBitForBit)
 // group (a W = 1 tail would record one per leftover packet).
 TEST(SimdLanePadding, PaddedGroupRecordsOneMarshalSpan)
 {
-#ifdef ROBOSHAPE_NO_OBS
-    GTEST_SKIP() << "wall-trace spans compiled out";
-#endif
     BackendGuard guard;
     const GradientBatch fx(RobotId::kIiwa, simd::kMaxLaneWidth + 2, 2500);
     const SimEngine engine(fx.design);
