@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <tuple>
@@ -156,9 +157,51 @@ DesignSpace::pareto_frontier() const
 {
     // A point is dominated when another point has <= LUTs and <= cycles
     // with at least one strict.  Sort by LUTs then cycles and sweep.
+    std::vector<DesignPoint> frontier;
+    std::int64_t best_cycles = std::numeric_limits<std::int64_t>::max();
+    const auto sweep = [&](const DesignPoint &p) {
+        if (p.cycles < best_cycles) {
+            frontier.push_back(p);
+            best_cycles = p.cycles;
+        }
+    };
+
+    // When LUTs, cycles and indices fit in 32 bits, sort packed
+    // (LUTs << 32 | cycles) keys, which sit together in memory.  Each key
+    // comparison has the outcome of the (LUTs, cycles) comparison below,
+    // and std::sort's moves depend only on those outcomes, so both paths
+    // make one permutation and pick the same point among ties.
+    constexpr std::int64_t kLimit = std::int64_t{1} << 32;
+    const auto fits = [](std::int64_t v) { return v >= 0 && v < kLimit; };
+    const bool packable =
+        points_.size() < static_cast<std::uint64_t>(kLimit) &&
+        std::all_of(points_.begin(), points_.end(),
+                    [&](const DesignPoint &p) {
+                        return fits(p.resources.luts) && fits(p.cycles);
+                    });
+    if (packable) {
+        struct PackedKey
+        {
+            std::uint64_t key;
+            std::uint32_t index;
+        };
+        std::vector<PackedKey> sorted(points_.size());
+        for (std::size_t i = 0; i < points_.size(); ++i)
+            sorted[i] = {
+                static_cast<std::uint64_t>(points_[i].resources.luts) << 32 |
+                    static_cast<std::uint64_t>(points_[i].cycles),
+                static_cast<std::uint32_t>(i)};
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const PackedKey &a, const PackedKey &b) {
+                      return a.key < b.key;
+                  });
+        for (const PackedKey &k : sorted)
+            sweep(points_[k.index]);
+        return frontier;
+    }
+
     // Sorting pointers leaves the N^3 points in place; std::sort makes
-    // the same permutation it would make on the values, so ties keep the
-    // same first point.
+    // the same permutation it would make on the values.
     std::vector<const DesignPoint *> sorted;
     sorted.reserve(points_.size());
     for (const DesignPoint &p : points_)
@@ -169,14 +212,8 @@ DesignSpace::pareto_frontier() const
                       return a->resources.luts < b->resources.luts;
                   return a->cycles < b->cycles;
               });
-    std::vector<DesignPoint> frontier;
-    std::int64_t best_cycles = std::numeric_limits<std::int64_t>::max();
-    for (const DesignPoint *p : sorted) {
-        if (p->cycles < best_cycles) {
-            frontier.push_back(*p);
-            best_cycles = p->cycles;
-        }
-    }
+    for (const DesignPoint *p : sorted)
+        sweep(*p);
     return frontier;
 }
 
