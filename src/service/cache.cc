@@ -87,12 +87,34 @@ CacheEntry::find_body(const std::string &key) const
 const std::string &
 CacheEntry::store_body(const std::string &key, std::string body)
 {
-    return bodies_[key] = std::move(body);
+    const auto [it, inserted] = bodies_.insert_or_assign(key, std::move(body));
+    if (inserted && key != "sweep") {
+        design_order_.push_back(it);
+        if (design_order_.size() > kMaxDesignBodies) {
+            bodies_.erase(design_order_.front());
+            design_order_.pop_front();
+        }
+    }
+    return it->second;
 }
 
 std::shared_ptr<CacheEntry>
 DesignCache::entry(std::uint64_t hash, sched::KernelKind kernel,
                    const topology::RobotModel &model)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = entries_.find({hash, kernel});
+        if (it != entries_.end())
+            return it->second;
+    }
+    return entry(hash, kernel,
+                 std::make_shared<const topology::RobotModel>(model));
+}
+
+std::shared_ptr<CacheEntry>
+DesignCache::entry(std::uint64_t hash, sched::KernelKind kernel,
+                   std::shared_ptr<const topology::RobotModel> model)
 {
     const Key key{hash, kernel};
     std::lock_guard<std::mutex> lock(mutex_);
@@ -104,8 +126,7 @@ DesignCache::entry(std::uint64_t hash, sched::KernelKind kernel,
         order_.pop_front();
         ROBOSHAPE_OBS_COUNT("svc.cache_evictions", 1);
     }
-    auto entry = std::make_shared<CacheEntry>(
-        std::make_shared<topology::RobotModel>(model), kernel);
+    auto entry = std::make_shared<CacheEntry>(std::move(model), kernel);
     entries_.emplace(key, entry);
     order_.push_back(key);
     ROBOSHAPE_OBS_COUNT("svc.cache_entries_created", 1);
@@ -117,6 +138,49 @@ DesignCache::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_.size();
+}
+
+std::optional<ParsedUrdf>
+DesignCache::find_urdf(const std::string &urdf_text)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = urdf_memo_.find(urdf_text);
+    if (it == urdf_memo_.end()) {
+        ROBOSHAPE_OBS_COUNT("svc.urdf_memo_misses", 1);
+        return std::nullopt;
+    }
+    ROBOSHAPE_OBS_COUNT("svc.urdf_memo_hits", 1);
+    return it->second;
+}
+
+void
+DesignCache::remember_urdf(std::string urdf_text, ParsedUrdf parsed)
+{
+    const std::size_t bytes = urdf_text.size();
+    if (bytes > kMaxMemoBytes)
+        return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (urdf_memo_.count(urdf_text))
+        return; // a concurrent first request stored it: keep that one
+    while (!urdf_order_.empty() &&
+           (urdf_memo_.size() >= kMaxCacheEntries ||
+            urdf_bytes_ + bytes > kMaxMemoBytes)) {
+        const auto oldest = urdf_memo_.find(*urdf_order_.front());
+        urdf_bytes_ -= oldest->first.size();
+        urdf_memo_.erase(oldest);
+        urdf_order_.pop_front();
+    }
+    const auto it =
+        urdf_memo_.emplace(std::move(urdf_text), std::move(parsed)).first;
+    urdf_order_.push_back(&it->first);
+    urdf_bytes_ += bytes;
+}
+
+std::size_t
+DesignCache::urdf_memo_size() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return urdf_memo_.size();
 }
 
 } // namespace service

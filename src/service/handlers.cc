@@ -126,7 +126,8 @@ parse_object_body(const HttpRequest &request,
 /** Parsed, validated request context shared by the model endpoints. */
 struct ResolvedRequest
 {
-    topology::RobotModel model;
+    std::shared_ptr<const topology::RobotModel> model;
+    std::uint64_t hash = 0; ///< model_hash(*model)
     sched::KernelKind kernel = sched::KernelKind::kDynamicsGradient;
     std::optional<std::size_t> max_pes_fwd;
     std::optional<std::size_t> max_pes_bwd;
@@ -136,11 +137,12 @@ struct ResolvedRequest
 /**
  * Parses + validates one POST body.  Returns the failure response in
  * @p error when resolution fails.  @p allow_knobs gates the max_* keys
- * (they mean nothing for /v1/validate and /v1/sweep).
+ * (they mean nothing for /v1/validate and /v1/sweep).  Inline URDF goes
+ * through @p cache's text memo, so a text seen before is not parsed again.
  */
 std::optional<ResolvedRequest>
 resolve_request(const HttpRequest &request, bool allow_knobs,
-                HttpResponse &error)
+                DesignCache &cache, HttpResponse &error)
 {
     const std::optional<JsonValue> body = parse_object_body(
         request,
@@ -200,7 +202,7 @@ resolve_request(const HttpRequest &request, bool allow_knobs,
     }
 
     const auto robot = body->get_string("robot");
-    const auto urdf = body->get_string("urdf");
+    auto urdf = body->get_string("urdf");
     if ((robot && urdf) || (!robot && !urdf)) {
         error = error_response(
             400, "exactly one of 'robot' or 'urdf' is required");
@@ -213,18 +215,29 @@ resolve_request(const HttpRequest &request, bool allow_knobs,
                                             *robot + "'");
             return std::nullopt;
         }
-        out.model = topology::build_robot(*id);
+        out.model = std::make_shared<const topology::RobotModel>(
+            topology::build_robot(*id));
+        out.hash = model_hash(*out.model);
+        return out;
+    }
+    if (std::optional<ParsedUrdf> memo = cache.find_urdf(*urdf)) {
+        out.model = std::move(memo->model);
+        out.hash = memo->hash;
         return out;
     }
     // Untrusted URDF body: the PR 3 checked front end collects every
-    // diagnostic; failures surface as a 422 validation report.
+    // diagnostic; failures surface as a 422 validation report and are
+    // never memoized.
     topology::UrdfParseResult parsed =
         topology::parse_urdf_checked(*urdf);
     if (!parsed.ok()) {
         error = invalid_urdf_response(parsed.report);
         return std::nullopt;
     }
-    out.model = std::move(*parsed.model);
+    out.model = std::make_shared<const topology::RobotModel>(
+        std::move(*parsed.model));
+    out.hash = model_hash(*out.model);
+    cache.remember_urdf(std::move(*urdf), {out.model, out.hash});
     return out;
 }
 
@@ -642,11 +655,11 @@ Service::handle(const net::HttpRequest &request)
             const bool knobs = target != "/v1/sweep";
             HttpResponse failure;
             const std::optional<ResolvedRequest> req =
-                resolve_request(request, knobs, failure);
+                resolve_request(request, knobs, cache_, failure);
             if (!req)
                 return failure;
 
-            const std::uint64_t hash = model_hash(req->model);
+            const std::uint64_t hash = req->hash;
             const std::shared_ptr<CacheEntry> entry =
                 cache_.entry(hash, req->kernel, req->model);
             std::lock_guard<std::mutex> lock(entry->mutex());

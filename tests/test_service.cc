@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -416,6 +417,214 @@ TEST(Service, ReportEmitsRunReportSchema)
     EXPECT_TRUE(obs::validate_json(response.body));
     EXPECT_NE(response.body.find("roboshape.run_report/1"),
               std::string::npos);
+}
+
+/** "/v1/design" body for iiwa at knob caps (f, b, k). */
+std::string
+iiwa_design_body(std::size_t f, std::size_t b, std::size_t k)
+{
+    return "{\"robot\": \"iiwa\", \"max_pes_fwd\": " + std::to_string(f) +
+           ", \"max_pes_bwd\": " + std::to_string(b) +
+           ", \"max_block_size\": " + std::to_string(k) + "}";
+}
+
+TEST(Service, DesignBodiesPerEntryAreCapped)
+{
+    service::Service svc;
+    const auto first = svc.handle(post("/v1/design", iiwa_design_body(1, 1, 1)));
+    ASSERT_EQ(first.status, 200);
+    for (std::size_t f = 1; f <= 7; ++f)
+        for (std::size_t b = 1; b <= 7; ++b)
+            for (std::size_t k = 1; k <= 7; ++k) {
+                const auto r =
+                    svc.handle(post("/v1/design", iiwa_design_body(f, b, k)));
+                ASSERT_EQ(r.status, 200);
+                EXPECT_EQ(r.header("X-Roboshape-Cache"),
+                          f + b + k == 3 ? "hit" : "miss");
+            }
+    const topology::RobotModel iiwa =
+        topology::build_robot(topology::RobotId::kIiwa);
+    const auto entry = svc.cache().entry(
+        service::model_hash(iiwa), sched::KernelKind::kDynamicsGradient,
+        iiwa);
+    {
+        std::lock_guard<std::mutex> lock(entry->mutex());
+        EXPECT_EQ(entry->body_count(), service::kMaxDesignBodies);
+    }
+    // The first triple was evicted: rendered again, byte for byte.
+    const auto again = svc.handle(post("/v1/design", iiwa_design_body(1, 1, 1)));
+    EXPECT_EQ(again.header("X-Roboshape-Cache"), "miss");
+    EXPECT_EQ(again.body, first.body);
+    // A sweep body is never evicted by design bodies.
+    const auto sweep = svc.handle(post("/v1/sweep", R"({"robot": "iiwa"})"));
+    for (std::size_t k = 1; k <= 7; ++k)
+        svc.handle(post("/v1/design", iiwa_design_body(7, 7, k)));
+    const auto sweep_again =
+        svc.handle(post("/v1/sweep", R"({"robot": "iiwa"})"));
+    EXPECT_EQ(sweep_again.header("X-Roboshape-Cache"), "hit");
+    EXPECT_EQ(sweep_again.body, sweep.body);
+}
+
+// ---------------------------------------------------------------------------
+// service: the inline-URDF text memo (docs/SERVICE.md, "Caching").
+
+std::uint64_t
+counter_value(const char *name)
+{
+    return obs::registry().counter(name).value();
+}
+
+/** {"urdf": text, ...extra} with the text JSON-escaped. */
+std::string
+urdf_body(const std::string &text, std::optional<std::size_t> pes = {})
+{
+    obs::JsonWriter w;
+    w.begin_object();
+    w.kv("urdf", text);
+    if (pes) {
+        w.kv("max_pes_fwd", static_cast<std::uint64_t>(*pes));
+        w.kv("max_pes_bwd", static_cast<std::uint64_t>(*pes));
+    }
+    w.end_object();
+    return w.str();
+}
+
+std::string
+topology_hash_of(const std::string &body)
+{
+    const std::string tag = "\"topology_hash\":\"";
+    const std::size_t at = body.find(tag);
+    return at == std::string::npos ? std::string()
+                                   : body.substr(at + tag.size(), 16);
+}
+
+TEST(UrdfMemo, DesignAfterSweepOfTheSameTextSkipsTheParse)
+{
+    service::Service svc;
+    const std::string text = topology::robot_urdf(topology::RobotId::kIiwa);
+    const std::uint64_t hits = counter_value("svc.urdf_memo_hits");
+    const std::uint64_t misses = counter_value("svc.urdf_memo_misses");
+
+    const auto sweep = svc.handle(post("/v1/sweep", urdf_body(text)));
+    ASSERT_EQ(sweep.status, 200);
+    EXPECT_EQ(counter_value("svc.urdf_memo_misses"), misses + 1);
+    EXPECT_EQ(counter_value("svc.urdf_memo_hits"), hits);
+
+    const auto design = svc.handle(post("/v1/design", urdf_body(text, 3)));
+    ASSERT_EQ(design.status, 200);
+    EXPECT_EQ(counter_value("svc.urdf_memo_misses"), misses + 1);
+    EXPECT_EQ(counter_value("svc.urdf_memo_hits"), hits + 1);
+    EXPECT_FALSE(topology_hash_of(sweep.body).empty());
+    EXPECT_EQ(topology_hash_of(design.body), topology_hash_of(sweep.body));
+    EXPECT_EQ(svc.cache().urdf_memo_size(), 1u);
+}
+
+TEST(UrdfMemo, OneChangedInertiaByteMissesWithAnotherHash)
+{
+    service::Service svc;
+    const std::string text = topology::robot_urdf(topology::RobotId::kIiwa);
+    std::string changed = text;
+    const std::size_t at = changed.find("ixx=\"");
+    ASSERT_NE(at, std::string::npos);
+    char &digit = changed[at + 5];
+    ASSERT_TRUE(std::isdigit(static_cast<unsigned char>(digit)));
+    digit = digit == '9' ? '8' : static_cast<char>(digit + 1);
+
+    const auto a = svc.handle(post("/v1/sweep", urdf_body(text)));
+    const std::uint64_t misses = counter_value("svc.urdf_memo_misses");
+    const auto b = svc.handle(post("/v1/sweep", urdf_body(changed)));
+    ASSERT_EQ(a.status, 200);
+    ASSERT_EQ(b.status, 200);
+    EXPECT_EQ(counter_value("svc.urdf_memo_misses"), misses + 1);
+    EXPECT_EQ(b.header("X-Roboshape-Cache"), "miss");
+    EXPECT_NE(topology_hash_of(a.body), topology_hash_of(b.body));
+}
+
+TEST(UrdfMemo, FailingTextIsParsedEveryTimeAndNeverStored)
+{
+    service::Service svc;
+    const std::string bad = "<robot name='x'><link name='a'/><oops";
+    const std::uint64_t misses = counter_value("svc.urdf_memo_misses");
+    const auto first = svc.handle(post("/v1/sweep", urdf_body(bad)));
+    const auto second = svc.handle(post("/v1/sweep", urdf_body(bad)));
+    EXPECT_EQ(first.status, 422);
+    EXPECT_EQ(second.status, 422);
+    EXPECT_EQ(second.body, first.body);
+    EXPECT_EQ(counter_value("svc.urdf_memo_misses"), misses + 2);
+    EXPECT_EQ(svc.cache().urdf_memo_size(), 0u);
+}
+
+TEST(UrdfMemo, WhitespaceVariantMissesTheMemoButHitsTheSweepBody)
+{
+    service::Service svc;
+    const std::string text = topology::robot_urdf(topology::RobotId::kHyq);
+    const auto cold = svc.handle(post("/v1/sweep", urdf_body(text)));
+    const std::uint64_t misses = counter_value("svc.urdf_memo_misses");
+    const auto variant =
+        svc.handle(post("/v1/sweep", urdf_body(text + "\n  \n")));
+    ASSERT_EQ(variant.status, 200);
+    EXPECT_EQ(counter_value("svc.urdf_memo_misses"), misses + 1);
+    EXPECT_EQ(variant.header("X-Roboshape-Cache"), "hit");
+    EXPECT_EQ(variant.body, cold.body);
+    EXPECT_EQ(svc.cache().urdf_memo_size(), 2u);
+}
+
+TEST(UrdfMemo, EvictsTheOldestTextBeyondTheEntryCap)
+{
+    service::Service svc;
+    const std::string text = topology::robot_urdf(topology::RobotId::kBittle);
+    const auto variant = [&](std::size_t i) {
+        return urdf_body(text + "<!-- " + std::to_string(i) + " -->");
+    };
+    for (std::size_t i = 0; i <= service::kMaxCacheEntries; ++i)
+        ASSERT_EQ(svc.handle(post("/v1/sweep", variant(i))).status, 200);
+    EXPECT_EQ(svc.cache().urdf_memo_size(), service::kMaxCacheEntries);
+
+    const std::uint64_t hits = counter_value("svc.urdf_memo_hits");
+    const std::uint64_t misses = counter_value("svc.urdf_memo_misses");
+    svc.handle(post("/v1/sweep", variant(service::kMaxCacheEntries)));
+    EXPECT_EQ(counter_value("svc.urdf_memo_hits"), hits + 1);
+    svc.handle(post("/v1/sweep", variant(0)));
+    EXPECT_EQ(counter_value("svc.urdf_memo_misses"), misses + 1);
+}
+
+TEST(UrdfMemo, TextOverTheByteBudgetIsNeverStored)
+{
+    service::Service svc;
+    const std::string text = topology::robot_urdf(topology::RobotId::kBittle) +
+                             "<!--" +
+                             std::string(service::kMaxMemoBytes, 'x') +
+                             "-->";
+    const std::uint64_t misses = counter_value("svc.urdf_memo_misses");
+    const auto first = svc.handle(post("/v1/sweep", urdf_body(text)));
+    const auto second = svc.handle(post("/v1/sweep", urdf_body(text)));
+    ASSERT_EQ(first.status, 200);
+    EXPECT_EQ(second.body, first.body);
+    EXPECT_EQ(counter_value("svc.urdf_memo_misses"), misses + 2);
+    EXPECT_EQ(svc.cache().urdf_memo_size(), 0u);
+}
+
+TEST(UrdfMemo, ConcurrentPostsOfOneTextGetIdenticalBodies)
+{
+    service::Service svc;
+    const std::string body =
+        urdf_body(topology::robot_urdf(topology::RobotId::kBaxter));
+    constexpr std::size_t kThreads = 8;
+    std::vector<std::string> sweeps(kThreads), designs(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            sweeps[t] = svc.handle(post("/v1/sweep", body)).body;
+            designs[t] = svc.handle(post("/v1/design", body)).body;
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_FALSE(topology_hash_of(sweeps[0]).empty());
+    for (std::size_t t = 1; t < kThreads; ++t) {
+        EXPECT_EQ(sweeps[t], sweeps[0]) << "thread " << t;
+        EXPECT_EQ(designs[t], designs[0]) << "thread " << t;
+    }
+    EXPECT_EQ(svc.cache().urdf_memo_size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
