@@ -11,7 +11,7 @@ namespace roboshape {
 namespace spatial {
 
 JointType
-joint_type_from_string(const std::string &s)
+joint_type_from_string(std::string_view s)
 {
     if (s == "revolute" || s == "continuous")
         return JointType::kRevolute;
@@ -19,7 +19,7 @@ joint_type_from_string(const std::string &s)
         return JointType::kPrismatic;
     if (s == "fixed")
         return JointType::kFixed;
-    throw std::invalid_argument("unsupported joint type: " + s);
+    throw std::invalid_argument("unsupported joint type: " + std::string(s));
 }
 
 const char *

@@ -13,6 +13,7 @@
 #define ROBOSHAPE_SPATIAL_JOINT_H
 
 #include <string>
+#include <string_view>
 
 #include "spatial/spatial_transform.h"
 #include "spatial/spatial_vector.h"
@@ -28,7 +29,7 @@ enum class JointType
 };
 
 /** Parses "revolute" / "continuous" / "prismatic" / "fixed". */
-JointType joint_type_from_string(const std::string &s);
+JointType joint_type_from_string(std::string_view s);
 
 /** Human-readable joint-type name. */
 const char *to_string(JointType t);

@@ -5,7 +5,8 @@
 
 #include "topology/robot_model.h"
 
-#include <map>
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace roboshape {
@@ -44,21 +45,34 @@ RobotModelBuilder::add_link(const std::string &name,
 RobotModel
 RobotModelBuilder::finalize() const
 {
-    if (pending_.empty())
+    const std::size_t n = pending_.size();
+    if (n == 0)
         throw std::invalid_argument("robot '" + name_ + "' has no links");
 
-    std::map<std::string, std::size_t> by_name;
-    for (std::size_t i = 0; i < pending_.size(); ++i)
-        by_name[pending_[i].name] = i;
+    // Pending indices in name order, for parent lookups (names are
+    // unique: add_link rejects duplicates).
+    std::vector<std::size_t> by_name(n);
+    std::iota(by_name.begin(), by_name.end(), std::size_t{0});
+    std::sort(by_name.begin(), by_name.end(),
+              [this](std::size_t a, std::size_t b) {
+                  return pending_[a].name < pending_[b].name;
+              });
 
-    // Children lists over pending indices; "" keys the base.
-    std::map<std::string, std::vector<std::size_t>> kids;
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
+    // Each link's parent as a pending index; n stands for the base.
+    std::vector<std::size_t> parent(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
         const auto &p = pending_[i];
-        if (!p.parent_name.empty() && !by_name.count(p.parent_name)) {
-            throw std::invalid_argument("link '" + p.name +
-                                        "' has unknown parent '" +
-                                        p.parent_name + "'");
+        if (!p.parent_name.empty()) {
+            const auto it = std::lower_bound(
+                by_name.begin(), by_name.end(), p.parent_name,
+                [this](std::size_t k, const std::string &name) {
+                    return pending_[k].name < name;
+                });
+            if (it == by_name.end() || pending_[*it].name != p.parent_name)
+                throw std::invalid_argument("link '" + p.name +
+                                            "' has unknown parent '" +
+                                            p.parent_name + "'");
+            parent[i] = *it;
         }
         if (p.joint.type() == spatial::JointType::kFixed) {
             throw std::invalid_argument(
@@ -66,19 +80,35 @@ RobotModelBuilder::finalize() const
                 "' uses a fixed joint; fold it before building "
                 "(see urdf parser)");
         }
-        kids[p.parent_name].push_back(i);
     }
-    if (!kids.count(""))
+
+    // Children of every link and of the base (n), in add order:
+    // kids[first[p] .. first[p + 1]) are p's.
+    std::vector<std::size_t> first(n + 2, 0);
+    for (std::size_t i = 0; i < n; ++i)
+        ++first[parent[i] + 1];
+    for (std::size_t p = 0; p <= n; ++p)
+        first[p + 1] += first[p];
+    if (first[n + 1] == first[n])
         throw std::invalid_argument("robot '" + name_ +
                                     "' has no link attached to the base");
+    std::vector<std::size_t> kids(n);
+    {
+        std::vector<std::size_t> next(first.begin(), first.end() - 1);
+        for (std::size_t i = 0; i < n; ++i)
+            kids[next[parent[i]]++] = i;
+    }
 
     // Depth-first preorder from the base; detects disconnected links.
     std::vector<std::size_t> order;
-    std::vector<int> new_index(pending_.size(), -1);
+    order.reserve(n);
+    std::vector<int> new_index(n, -1);
     std::vector<std::size_t> stack;
-    const auto &roots = kids[""];
-    for (auto it = roots.rbegin(); it != roots.rend(); ++it)
-        stack.push_back(*it);
+    const auto push_kids = [&](std::size_t p) {
+        for (std::size_t k = first[p + 1]; k-- > first[p];)
+            stack.push_back(kids[k]);
+    };
+    push_kids(n);
     while (!stack.empty()) {
         const std::size_t i = stack.back();
         stack.pop_back();
@@ -87,13 +117,10 @@ RobotModelBuilder::finalize() const
                                         pending_[i].name + "'");
         new_index[i] = static_cast<int>(order.size());
         order.push_back(i);
-        auto it = kids.find(pending_[i].name);
-        if (it != kids.end())
-            for (auto c = it->second.rbegin(); c != it->second.rend(); ++c)
-                stack.push_back(*c);
+        push_kids(i);
     }
-    if (order.size() != pending_.size()) {
-        for (std::size_t i = 0; i < pending_.size(); ++i)
+    if (order.size() != n) {
+        for (std::size_t i = 0; i < n; ++i)
             if (new_index[i] == -1)
                 throw std::invalid_argument("link '" + pending_[i].name +
                                             "' is not connected to the base");
@@ -103,19 +130,19 @@ RobotModelBuilder::finalize() const
     model.name_ = name_;
     model.links_.resize(order.size());
     model.children_.resize(order.size());
-    for (std::size_t n = 0; n < order.size(); ++n) {
-        const auto &p = pending_[order[n]];
-        Link &l = model.links_[n];
+    for (std::size_t k = 0; k < order.size(); ++k) {
+        const auto &p = pending_[order[k]];
+        Link &l = model.links_[k];
         l.name = p.name;
         l.joint = p.joint;
         l.x_tree = p.x_tree;
         l.inertia = p.inertia;
-        if (p.parent_name.empty()) {
+        if (parent[order[k]] == n) {
             l.parent = kBaseParent;
-            model.base_children_.push_back(static_cast<int>(n));
+            model.base_children_.push_back(static_cast<int>(k));
         } else {
-            l.parent = new_index[by_name[p.parent_name]];
-            model.children_[l.parent].push_back(static_cast<int>(n));
+            l.parent = new_index[parent[order[k]]];
+            model.children_[l.parent].push_back(static_cast<int>(k));
         }
     }
     return model;

@@ -93,11 +93,11 @@ TEST(XmlProperties, SurvivesDeepNesting)
         open += "<n" + std::to_string(i) + ">";
         close = "</n" + std::to_string(i) + ">" + close;
     }
-    const auto root = topology::parse_xml(open + close);
-    const topology::XmlElement *cur = root.get();
+    const topology::XmlDocument doc = topology::parse_xml(open + close);
+    const topology::XmlElement *cur = &doc.root();
     int depth = 0;
-    while (!cur->children.empty()) {
-        cur = cur->children[0].get();
+    while (!cur->children().empty()) {
+        cur = cur->children()[0];
         ++depth;
     }
     EXPECT_EQ(depth, 199);
@@ -105,11 +105,11 @@ TEST(XmlProperties, SurvivesDeepNesting)
 
 TEST(XmlProperties, WhitespaceTolerance)
 {
-    const auto root = topology::parse_xml(
+    const topology::XmlDocument doc = topology::parse_xml(
         "  \n\t<a   b = \"1\"   c='2'  >\n\n  <d/>\t</a>\n  ");
-    EXPECT_EQ(root->attribute("b"), "1");
-    EXPECT_EQ(root->attribute("c"), "2");
-    EXPECT_EQ(root->children.size(), 1u);
+    EXPECT_EQ(doc.root().attribute("b"), "1");
+    EXPECT_EQ(doc.root().attribute("c"), "2");
+    EXPECT_EQ(doc.root().children().size(), 1u);
 }
 
 // ------------------------------------------------------------- urdf ----
