@@ -12,10 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/functional_sim.h"
@@ -220,11 +224,250 @@ expect_gradient_exact(const EngineResult &sim, const SimResult &legacy)
     EXPECT_EQ(sim.mm_stats.scalar_macs, legacy.mm_stats.scalar_macs);
 }
 
+// ------------------------------------------------------------- pins ----
+// The golden suite feeds fixed, seeded inputs, so what the simulator must
+// compute is a constant.  Each case (robot, kernel, knobs, order) is
+// pinned as one FNV-1a digest over every output field the suite checks,
+// and the pins hold for the engine and the one-shot simulators alike.
+// A digest moves only when the arithmetic changes on purpose; there is no
+// switch that rewrites them.
+
+/** FNV-1a over the little-endian bytes of 64-bit words, the hash of
+ *  UrdfGolden.MutationDigestIsPinned. */
+class Digest
+{
+  public:
+    void
+    add_word(std::uint64_t word)
+    {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash_ ^= (word >> (8 * byte)) & 0xFFu;
+            hash_ *= 0x100000001B3ull;
+        }
+    }
+
+    /** -0.0 folds as +0.0: the engine folds the -M^-1 negation into the
+     *  blocked multiply, which may flip the sign of an exact zero, and
+     *  max |diff| == 0 never told the two apart. */
+    void
+    add_value(double v)
+    {
+        add_word(std::bit_cast<std::uint64_t>(v == 0.0 ? 0.0 : v));
+    }
+
+    void
+    add_values(const std::vector<double> &values)
+    {
+        for (const double v : values)
+            add_value(v);
+    }
+
+    std::string
+    hex() const
+    {
+        char buf[17];
+        std::snprintf(buf, sizeof(buf), "%016llx",
+                      static_cast<unsigned long long>(hash_));
+        return buf;
+    }
+
+  private:
+    std::uint64_t hash_ = 0xCBF29CE484222325ull; // FNV-1a offset basis
+};
+
+/** tau, the four derivative matrices, the mm_stats counts, the task
+ *  count. */
+template <typename Result>
+std::string
+gradient_digest(const Result &r)
+{
+    Digest d;
+    for (const std::vector<double> *values :
+         {&r.tau.data(), &r.dtau_dq.data(), &r.dtau_dqd.data(),
+          &r.dqdd_dq.data(), &r.dqdd_dqd.data()})
+        d.add_values(*values);
+    d.add_word(r.mm_stats.block_macs);
+    d.add_word(r.mm_stats.block_nops);
+    d.add_word(r.mm_stats.scalar_macs);
+    d.add_word(r.tasks_executed);
+    return d.hex();
+}
+
+/** The mass matrix, then the task count. */
+template <typename Result>
+std::string
+mass_matrix_digest(const Result &r)
+{
+    Digest d;
+    d.add_values(r.mass.data());
+    d.add_word(r.tasks_executed);
+    return d.hex();
+}
+
+/** Per link: the base-to-link transform as a 6x6 matrix, the velocity and
+ *  the Jacobian; then the task count. */
+template <typename Result>
+std::string
+kinematics_digest(const Result &r)
+{
+    Digest d;
+    for (std::size_t i = 0; i < r.base_to_link.size(); ++i) {
+        const spatial::SpatialMatrix x = r.base_to_link[i].to_matrix();
+        for (std::size_t row = 0; row < 6; ++row)
+            for (std::size_t col = 0; col < 6; ++col)
+                d.add_value(x(row, col));
+        for (std::size_t k = 0; k < 6; ++k)
+            d.add_value(r.velocities[i][k]);
+        d.add_values(r.jacobians[i].data());
+    }
+    d.add_word(r.tasks_executed);
+    return d.hex();
+}
+
+/** One pinned design: its digests in the staged and pipelined orders. */
+struct Pin
+{
+    RobotId robot;
+    KernelKind kernel;
+    AcceleratorParams params;
+    const char *staged;
+    const char *pipelined;
+
+    const char *
+    digest(SimOrder order) const
+    {
+        return order == SimOrder::kStaged ? staged : pipelined;
+    }
+};
+
+constexpr KernelKind kGradient = KernelKind::kDynamicsGradient;
+constexpr KernelKind kMass = KernelKind::kMassMatrix;
+constexpr KernelKind kKinematics = KernelKind::kForwardKinematics;
+
+// Per robot: the golden knobs of each kernel (gradient {3,3,3} on seed 17,
+// mass matrix {3,3,1} on seed 19, kinematics {4,1,1} on seed 23), then
+// the designs bench/sim_throughput and table1 run: the gradient kernel at
+// bench::shipped_params and kinematics at {3,3,1}, on the same seeds.
+const Pin kPins[] = {
+    {RobotId::kIiwa, kGradient, {3, 3, 3},
+     "4788ec91f6ba4754", "4788ec91f6ba4754"},
+    {RobotId::kIiwa, kMass, {3, 3, 1},
+     "063e2cb4744ea78a", "063e2cb4744ea78a"},
+    {RobotId::kIiwa, kKinematics, {4, 1, 1},
+     "3fedc8436bf5ea10", "3fedc8436bf5ea10"},
+    {RobotId::kIiwa, kGradient, {7, 7, 7},
+     "d28f630022f9f5c0", "d28f630022f9f5c0"},
+    {RobotId::kIiwa, kKinematics, {3, 3, 1},
+     "3fedc8436bf5ea10", "3fedc8436bf5ea10"},
+    {RobotId::kHyq, kGradient, {3, 3, 3},
+     "6b5938bcb5f1df03", "6b5938bcb5f1df03"},
+    {RobotId::kHyq, kMass, {3, 3, 1},
+     "289eaf5abbff8f0f", "289eaf5abbff8f0f"},
+    {RobotId::kHyq, kKinematics, {4, 1, 1},
+     "c0971c0b698c26fb", "c0971c0b698c26fb"},
+    {RobotId::kHyq, kGradient, {3, 3, 6},
+     "8296c77df223bc8e", "8296c77df223bc8e"},
+    {RobotId::kHyq, kKinematics, {3, 3, 1},
+     "c0971c0b698c26fb", "c0971c0b698c26fb"},
+    {RobotId::kBaxter, kGradient, {3, 3, 3},
+     "1db61f662e1ef97e", "1db61f662e1ef97e"},
+    {RobotId::kBaxter, kMass, {3, 3, 1},
+     "ac824dc7b66d04a8", "ac824dc7b66d04a8"},
+    {RobotId::kBaxter, kKinematics, {4, 1, 1},
+     "63b7b2d6a8fbbb3c", "63b7b2d6a8fbbb3c"},
+    {RobotId::kBaxter, kGradient, {4, 4, 4},
+     "8f9929a11443e970", "8f9929a11443e970"},
+    {RobotId::kBaxter, kKinematics, {3, 3, 1},
+     "63b7b2d6a8fbbb3c", "63b7b2d6a8fbbb3c"},
+    {RobotId::kJaco2, kGradient, {3, 3, 3},
+     "b5a0983865a0f888", "b5a0983865a0f888"},
+    {RobotId::kJaco2, kMass, {3, 3, 1},
+     "0b4834727671e373", "0b4834727671e373"},
+    {RobotId::kJaco2, kKinematics, {4, 1, 1},
+     "ec1e7bde3f848a8c", "ec1e7bde3f848a8c"},
+    {RobotId::kJaco2, kGradient, {1, 1, 1},
+     "92e526c9d7edb91d", "92e526c9d7edb91d"},
+    {RobotId::kJaco2, kKinematics, {3, 3, 1},
+     "ec1e7bde3f848a8c", "ec1e7bde3f848a8c"},
+    {RobotId::kJaco3, kGradient, {3, 3, 3},
+     "c0c8c766c4ae50f2", "221860ab216bf6e2"},
+    {RobotId::kJaco3, kMass, {3, 3, 1},
+     "70925939bc2d9e76", "70925939bc2d9e76"},
+    {RobotId::kJaco3, kKinematics, {4, 1, 1},
+     "5c08c2cd5e17cd01", "5c08c2cd5e17cd01"},
+    {RobotId::kJaco3, kGradient, {1, 1, 1},
+     "cbb1b951418c4176", "cbb1b951418c4176"},
+    {RobotId::kJaco3, kKinematics, {3, 3, 1},
+     "5c08c2cd5e17cd01", "5c08c2cd5e17cd01"},
+    {RobotId::kHyqWithArm, kGradient, {3, 3, 3},
+     "0d183e43cbb32df6", "0d183e43cbb32df6"},
+    {RobotId::kHyqWithArm, kMass, {3, 3, 1},
+     "163a583ceade9a64", "163a583ceade9a64"},
+    {RobotId::kHyqWithArm, kKinematics, {4, 1, 1},
+     "d5782b828ebe0f49", "d5782b828ebe0f49"},
+    {RobotId::kHyqWithArm, kGradient, {1, 1, 1},
+     "2e98a1183351ead2", "2e98a1183351ead2"},
+    {RobotId::kHyqWithArm, kKinematics, {3, 3, 1},
+     "d5782b828ebe0f49", "d5782b828ebe0f49"},
+    {RobotId::kBittle, kGradient, {3, 3, 3},
+     "8017702f04bfcf6c", "8017702f04bfcf6c"},
+    {RobotId::kBittle, kMass, {3, 3, 1},
+     "070e6885754693f6", "070e6885754693f6"},
+    {RobotId::kBittle, kKinematics, {4, 1, 1},
+     "bc1f4d054de9094b", "bc1f4d054de9094b"},
+    {RobotId::kBittle, kGradient, {1, 1, 1},
+     "8831d1cfd55286a8", "8831d1cfd55286a8"},
+    {RobotId::kBittle, kKinematics, {3, 3, 1},
+     "bc1f4d054de9094b", "bc1f4d054de9094b"},
+    {RobotId::kPepper, kGradient, {3, 3, 3},
+     "423e7e507d04d17b", "449f4b2cc1885746"},
+    {RobotId::kPepper, kMass, {3, 3, 1},
+     "ef453385d28c3327", "75711bac6aaf13d3"},
+    {RobotId::kPepper, kKinematics, {4, 1, 1},
+     "31751879d04f8e52", "31751879d04f8e52"},
+    {RobotId::kPepper, kGradient, {1, 1, 1},
+     "c890ce969141a3cd", "c890ce969141a3cd"},
+    {RobotId::kPepper, kKinematics, {3, 3, 1},
+     "31751879d04f8e52", "31751879d04f8e52"},
+    {RobotId::kHumanoid, kGradient, {3, 3, 3},
+     "4dcaa2c19c46f7ac", "4dcaa2c19c46f7ac"},
+    {RobotId::kHumanoid, kMass, {3, 3, 1},
+     "741c0260ad647b7e", "741c0260ad647b7e"},
+    {RobotId::kHumanoid, kKinematics, {4, 1, 1},
+     "722f1c55c68ca0b9", "722f1c55c68ca0b9"},
+    {RobotId::kHumanoid, kGradient, {1, 1, 1},
+     "6a2f8c128a2ef014", "6a2f8c128a2ef014"},
+    {RobotId::kHumanoid, kKinematics, {3, 3, 1},
+     "722f1c55c68ca0b9", "722f1c55c68ca0b9"},
+};
+
+/** The pins of @p robot's @p kernel designs, in table order. */
+std::vector<const Pin *>
+pins_of(RobotId robot, KernelKind kernel)
+{
+    std::vector<const Pin *> out;
+    for (const Pin &pin : kPins)
+        if (pin.robot == robot && pin.kernel == kernel)
+            out.push_back(&pin);
+    return out;
+}
+
+std::string
+case_name(const Pin &pin, SimOrder order)
+{
+    return std::string(robot_name(pin.robot)) + " " +
+           to_string(pin.kernel) + " " + pin.params.to_string() +
+           (order == SimOrder::kStaged ? " staged" : " pipelined");
+}
+
+constexpr SimOrder kOrders[] = {SimOrder::kStaged, SimOrder::kPipelined};
+
 class SimEngineGolden : public ::testing::TestWithParam<RobotId>
 {
 };
 
-// Engine output == legacy simulate() to the last bit, both orders.
+// Engine output == the pinned digest (and the legacy simulate() output
+// behind it) to the last bit, both orders.
 TEST_P(SimEngineGolden, GradientMatchesLegacyExactly)
 {
     const RobotModel m = build_robot(GetParam());
@@ -232,18 +475,27 @@ TEST_P(SimEngineGolden, GradientMatchesLegacyExactly)
     const RobotState s = random_state(m, 17);
     const auto ref = dynamics::forward_dynamics_gradients(m, topo, s.q,
                                                           s.qd, s.tau);
-    const AcceleratorDesign design(m, {3, 3, 3});
-    for (SimOrder order : {SimOrder::kStaged, SimOrder::kPipelined}) {
-        const SimEngine engine(design, order);
-        auto ws = engine.make_workspace();
-        EngineResult sim;
-        const InputPacket packet{&s.q, &s.qd, &ref.qdd, &ref.mass_inv};
-        engine.run(ws, packet, sim);
-        const SimResult legacy =
-            simulate(design, s.q, s.qd, ref.qdd, ref.mass_inv,
-                     dynamics::kDefaultGravity, order);
-        expect_gradient_exact(sim, legacy);
-        EXPECT_EQ(engine.trace_length(), legacy.tasks_executed);
+    const InputPacket packet{&s.q, &s.qd, &ref.qdd, &ref.mass_inv};
+    const std::vector<const Pin *> pins = pins_of(GetParam(), kGradient);
+    ASSERT_EQ(pins.size(), 2u); // {3,3,3} and the shipped knobs
+    for (const Pin *pin : pins) {
+        const AcceleratorDesign design(m, pin->params);
+        for (SimOrder order : kOrders) {
+            const SimEngine engine(design, order);
+            auto ws = engine.make_workspace();
+            EngineResult sim;
+            engine.run(ws, packet, sim);
+            EXPECT_EQ(gradient_digest(sim), pin->digest(order))
+                << case_name(*pin, order);
+            EXPECT_EQ(engine.trace_length(), sim.tasks_executed)
+                << case_name(*pin, order);
+            const SimResult legacy =
+                simulate(design, s.q, s.qd, ref.qdd, ref.mass_inv,
+                         dynamics::kDefaultGravity, order);
+            EXPECT_EQ(gradient_digest(legacy), pin->digest(order))
+                << case_name(*pin, order) << " (legacy)";
+            expect_gradient_exact(sim, legacy);
+        }
     }
 }
 
@@ -251,18 +503,26 @@ TEST_P(SimEngineGolden, MassMatrixMatchesLegacyExactly)
 {
     const RobotModel m = build_robot(GetParam());
     const RobotState s = random_state(m, 19);
-    const AcceleratorDesign design(m, {3, 3, 1}, default_timing(),
-                                   KernelKind::kMassMatrix);
-    for (SimOrder order : {SimOrder::kStaged, SimOrder::kPipelined}) {
-        const SimEngine engine(design, order);
-        auto ws = engine.make_workspace();
-        EngineResult sim;
-        const InputPacket packet{&s.q};
-        engine.run(ws, packet, sim);
-        const MassMatrixSimResult legacy =
-            simulate_mass_matrix(design, s.q, order);
-        EXPECT_EQ(linalg::max_abs_diff(sim.mass, legacy.mass), 0.0);
-        EXPECT_EQ(sim.tasks_executed, legacy.tasks_executed);
+    const InputPacket packet{&s.q};
+    const std::vector<const Pin *> pins = pins_of(GetParam(), kMass);
+    ASSERT_EQ(pins.size(), 1u);
+    for (const Pin *pin : pins) {
+        const AcceleratorDesign design(m, pin->params, default_timing(),
+                                       kMass);
+        for (SimOrder order : kOrders) {
+            const SimEngine engine(design, order);
+            auto ws = engine.make_workspace();
+            EngineResult sim;
+            engine.run(ws, packet, sim);
+            EXPECT_EQ(mass_matrix_digest(sim), pin->digest(order))
+                << case_name(*pin, order);
+            const MassMatrixSimResult legacy =
+                simulate_mass_matrix(design, s.q, order);
+            EXPECT_EQ(mass_matrix_digest(legacy), pin->digest(order))
+                << case_name(*pin, order) << " (legacy)";
+            EXPECT_EQ(linalg::max_abs_diff(sim.mass, legacy.mass), 0.0);
+            EXPECT_EQ(sim.tasks_executed, legacy.tasks_executed);
+        }
     }
 }
 
@@ -270,29 +530,38 @@ TEST_P(SimEngineGolden, KinematicsMatchesLegacyExactly)
 {
     const RobotModel m = build_robot(GetParam());
     const RobotState s = random_state(m, 23);
-    const AcceleratorDesign design(m, {4, 1, 1}, default_timing(),
-                                   KernelKind::kForwardKinematics);
-    for (SimOrder order : {SimOrder::kStaged, SimOrder::kPipelined}) {
-        const SimEngine engine(design, order);
-        auto ws = engine.make_workspace();
-        EngineResult sim;
-        const InputPacket packet{&s.q, &s.qd};
-        engine.run(ws, packet, sim);
-        const KinematicsSimResult legacy =
-            simulate_forward_kinematics(design, s.q, s.qd, order);
-        ASSERT_EQ(sim.base_to_link.size(), legacy.base_to_link.size());
-        for (std::size_t i = 0; i < m.num_links(); ++i) {
-            EXPECT_EQ((sim.base_to_link[i].to_matrix() -
-                       legacy.base_to_link[i].to_matrix())
-                          .max_abs(),
-                      0.0);
-            EXPECT_EQ((sim.velocities[i] - legacy.velocities[i]).max_abs(),
-                      0.0);
-            EXPECT_EQ(linalg::max_abs_diff(sim.jacobians[i],
-                                           legacy.jacobians[i]),
-                      0.0);
+    const InputPacket packet{&s.q, &s.qd};
+    const std::vector<const Pin *> pins = pins_of(GetParam(), kKinematics);
+    ASSERT_EQ(pins.size(), 2u); // {4,1,1} and {3,3,1}
+    for (const Pin *pin : pins) {
+        const AcceleratorDesign design(m, pin->params, default_timing(),
+                                       kKinematics);
+        for (SimOrder order : kOrders) {
+            const SimEngine engine(design, order);
+            auto ws = engine.make_workspace();
+            EngineResult sim;
+            engine.run(ws, packet, sim);
+            EXPECT_EQ(kinematics_digest(sim), pin->digest(order))
+                << case_name(*pin, order);
+            const KinematicsSimResult legacy =
+                simulate_forward_kinematics(design, s.q, s.qd, order);
+            EXPECT_EQ(kinematics_digest(legacy), pin->digest(order))
+                << case_name(*pin, order) << " (legacy)";
+            ASSERT_EQ(sim.base_to_link.size(), legacy.base_to_link.size());
+            for (std::size_t i = 0; i < m.num_links(); ++i) {
+                EXPECT_EQ((sim.base_to_link[i].to_matrix() -
+                           legacy.base_to_link[i].to_matrix())
+                              .max_abs(),
+                          0.0);
+                EXPECT_EQ(
+                    (sim.velocities[i] - legacy.velocities[i]).max_abs(),
+                    0.0);
+                EXPECT_EQ(linalg::max_abs_diff(sim.jacobians[i],
+                                               legacy.jacobians[i]),
+                          0.0);
+            }
+            EXPECT_EQ(sim.tasks_executed, legacy.tasks_executed);
         }
-        EXPECT_EQ(sim.tasks_executed, legacy.tasks_executed);
     }
 }
 
@@ -302,9 +571,9 @@ INSTANTIATE_TEST_SUITE_P(Robots, SimEngineGolden,
 
 // ------------------------------------------------- hazard rejection ----
 
-// The engine front-loads the legacy simulators' hazard checks into
-// compilation: the adversarial order must throw from the constructor,
-// with the exact message the legacy simulator raises mid-run.
+// The engine front-loads the hazard checks into compilation: the
+// adversarial order must throw from the constructor, with the exact
+// message the legacy simulators raise mid-run.  The messages are pinned.
 TEST(SimEngineHazards, AdversarialOrderThrowsAtCompileTime)
 {
     const RobotModel m = build_robot(RobotId::kHyq);
@@ -343,14 +612,18 @@ TEST(SimEngineHazards, AdversarialOrderThrowsAtCompileTime)
         return std::string();
     };
 
-    for (const AcceleratorDesign *design :
-         {&gradient, &mass, &kinematics}) {
-        const std::string expected = legacy_message(*design);
-        ASSERT_FALSE(expected.empty());
+    const std::pair<const AcceleratorDesign *, const char *> cases[] = {
+        {&gradient, "data hazard: gradBwd before gradFwd on link 9"},
+        {&mass, "data hazard: force walk out of order for column 8"},
+        {&kinematics, "data hazard: jacobian before pose of link 11"},
+    };
+    for (const auto &[design, expected] : cases) {
+        EXPECT_EQ(legacy_message(*design), expected);
         try {
             const SimEngine engine(*design,
                                    SimOrder::kAdversarialReversed);
-            FAIL() << "adversarial order compiled without a hazard";
+            ADD_FAILURE() << to_string(design->kernel())
+                          << ": adversarial order compiled without a hazard";
         } catch (const DataHazardError &e) {
             EXPECT_EQ(std::string(e.what()), expected);
         }
