@@ -1,18 +1,18 @@
 /**
  * @file
- * Functional simulation throughput: the compiled engine (accel::SimEngine)
- * against the legacy one-shot simulators, across every library robot and
- * all three Table 1 kernels.
+ * Functional simulation throughput of the compiled engine
+ * (accel::SimEngine) across the paper's robots and all three Table 1
+ * kernels.
  *
  * For each robot x kernel pair the bench measures single-stream calls/sec
- * of the legacy simulator and of a warm engine, checks the engine output
- * is EXACTLY equal to the legacy result (max |diff| == 0, the compiled
- * trace must not change a single bit of arithmetic), and — for the
- * gradient kernel — sweeps run_batch() over 1/2/4 worker threads to show
- * the batch path is deterministic at any thread count.  Emits
- * machine-readable JSON on stdout (and to a file with `--json <path>`) so
- * successive PRs can track the throughput trajectory; EXPERIMENTS.md
- * ("Functional simulation throughput") explains the fields.
+ * of a warm engine and — for the gradient kernel — sweeps run_batch() over
+ * 1/2/4 worker threads, checking every batched packet against serial
+ * run() at 0 ulp to show the batch path is deterministic at any thread
+ * count.  What run() computes is pinned by the digests of
+ * tests/test_sim_engine.cc.  Emits machine-readable JSON on stdout (and to
+ * a file with `--json <path>`) so successive changes can track the
+ * throughput trajectory; EXPERIMENTS.md ("Functional simulation
+ * throughput") explains the fields.
  *
  * The gradient kernel additionally gets a SIMD batch-lane section
  * (accel/simd_lanes.h): a wide batch (kWideBatchSize packets) is run once
@@ -27,10 +27,9 @@
  * group or lone W = 1 leftover; its ulp distance joins the 0-ulp gate and
  * its packets/s are reported without a speed bound.
  *
- * Exit status is nonzero when any engine output diverges from the legacy
- * simulators, when the lane path is off by even one ulp, or when a
- * vector backend misses the speedup gate (single-stream timing stays
- * informational).
+ * Exit status is nonzero when a batched packet differs from serial run(),
+ * when the lane path is off by even one ulp, or when a vector backend
+ * misses the speedup gate (single-stream timing stays informational).
  */
 
 #include <chrono>
@@ -42,8 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "accel/functional_sim.h"
-#include "accel/kernel_sim.h"
 #include "accel/sim_engine.h"
 #include "accel/simd_lanes.h"
 #include "bench/bench_util.h"
@@ -117,52 +114,6 @@ best_calls_per_sec(Fn &&fn)
     return best;
 }
 
-double
-transform_diff(const spatial::SpatialTransform &a,
-               const spatial::SpatialTransform &b)
-{
-    double d = 0.0;
-    for (std::size_t k = 0; k < 9; ++k)
-        d = std::max(d, std::abs(a.rotation_matrix().m[k] -
-                                 b.rotation_matrix().m[k]));
-    d = std::max(d, std::abs(a.translation_vector().x -
-                             b.translation_vector().x));
-    d = std::max(d, std::abs(a.translation_vector().y -
-                             b.translation_vector().y));
-    d = std::max(d, std::abs(a.translation_vector().z -
-                             b.translation_vector().z));
-    return d;
-}
-
-double
-gradient_diff(const accel::EngineResult &e, const accel::SimResult &l)
-{
-    double d = linalg::max_abs_diff(e.tau, l.tau);
-    d = std::max(d, linalg::max_abs_diff(e.dtau_dq, l.dtau_dq));
-    d = std::max(d, linalg::max_abs_diff(e.dtau_dqd, l.dtau_dqd));
-    d = std::max(d, linalg::max_abs_diff(e.dqdd_dq, l.dqdd_dq));
-    d = std::max(d, linalg::max_abs_diff(e.dqdd_dqd, l.dqdd_dqd));
-    if (e.tasks_executed != l.tasks_executed ||
-        e.mm_stats.block_macs != l.mm_stats.block_macs ||
-        e.mm_stats.block_nops != l.mm_stats.block_nops ||
-        e.mm_stats.scalar_macs != l.mm_stats.scalar_macs)
-        d = std::max(d, 1.0);
-    return d;
-}
-
-double
-gradient_diff(const accel::EngineResult &a, const accel::EngineResult &b)
-{
-    double d = linalg::max_abs_diff(a.tau, b.tau);
-    d = std::max(d, linalg::max_abs_diff(a.dtau_dq, b.dtau_dq));
-    d = std::max(d, linalg::max_abs_diff(a.dtau_dqd, b.dtau_dqd));
-    d = std::max(d, linalg::max_abs_diff(a.dqdd_dq, b.dqdd_dq));
-    d = std::max(d, linalg::max_abs_diff(a.dqdd_dqd, b.dqdd_dqd));
-    if (a.tasks_executed != b.tasks_executed)
-        d = std::max(d, 1.0);
-    return d;
-}
-
 /**
  * Distance between two doubles in units of last place, via the usual
  * monotone mapping of the IEEE-754 bit pattern onto ordered integers
@@ -215,21 +166,14 @@ gradient_ulp(const accel::EngineResult &a, const accel::EngineResult &b)
     return d;
 }
 
-double
-kinematics_diff(const accel::EngineResult &e,
-                const accel::KinematicsSimResult &l)
+/** Same task count and blocked-multiply tile counts. */
+bool
+same_counts(const accel::EngineResult &a, const accel::EngineResult &b)
 {
-    double d = 0.0;
-    for (std::size_t i = 0; i < e.velocities.size(); ++i) {
-        d = std::max(d, (e.velocities[i] - l.velocities[i]).max_abs());
-        d = std::max(d, transform_diff(e.base_to_link[i],
-                                       l.base_to_link[i]));
-        d = std::max(d, linalg::max_abs_diff(e.jacobians[i],
-                                             l.jacobians[i]));
-    }
-    if (e.tasks_executed != l.tasks_executed)
-        d = std::max(d, 1.0);
-    return d;
+    return a.tasks_executed == b.tasks_executed &&
+           a.mm_stats.block_macs == b.mm_stats.block_macs &&
+           a.mm_stats.block_nops == b.mm_stats.block_nops &&
+           a.mm_stats.scalar_macs == b.mm_stats.scalar_macs;
 }
 
 struct BatchPoint
@@ -256,10 +200,7 @@ struct KernelRow
 {
     const char *kernel = "";
     std::size_t trace_ops = 0;
-    double legacy_cps = 0.0;
     double engine_cps = 0.0;
-    double divergence = 0.0;       ///< vs legacy, staged order.
-    double divergence_pipelined = 0.0;
     std::vector<BatchPoint> batch; ///< Gradient kernel only.
     LaneSection lane;              ///< Gradient kernel only, wide batch.
     LaneSection ragged;            ///< Gradient kernel only, ragged batch.
@@ -343,14 +284,7 @@ compare_lanes(const accel::SimEngine &engine,
         section.max_ulp = std::max(section.max_ulp,
                                    gradient_ulp(lane_out[p], scalar_out[p]));
         section.stats_match =
-            section.stats_match &&
-            lane_out[p].tasks_executed == scalar_out[p].tasks_executed &&
-            lane_out[p].mm_stats.block_macs ==
-                scalar_out[p].mm_stats.block_macs &&
-            lane_out[p].mm_stats.block_nops ==
-                scalar_out[p].mm_stats.block_nops &&
-            lane_out[p].mm_stats.scalar_macs ==
-                scalar_out[p].mm_stats.scalar_macs;
+            section.stats_match && same_counts(lane_out[p], scalar_out[p]);
     }
     return section;
 }
@@ -368,26 +302,6 @@ measure_gradient(const accel::AcceleratorDesign &design,
     accel::EngineResult out;
     const accel::InputPacket packet{&in.q[0], &in.qd[0], &in.qdd[0],
                                     &in.minv[0]};
-    engine.run(ws, packet, out);
-    const auto legacy = accel::simulate(design, in.q[0], in.qd[0],
-                                        in.qdd[0], in.minv[0]);
-    row.divergence = gradient_diff(out, legacy);
-    {
-        const accel::SimEngine pipelined(design,
-                                         accel::SimOrder::kPipelined);
-        auto pws = pipelined.make_workspace();
-        accel::EngineResult pout;
-        pipelined.run(pws, packet, pout);
-        const auto plegacy =
-            accel::simulate(design, in.q[0], in.qd[0], in.qdd[0],
-                            in.minv[0], dynamics::kDefaultGravity,
-                            accel::SimOrder::kPipelined);
-        row.divergence_pipelined = gradient_diff(pout, plegacy);
-    }
-
-    row.legacy_cps = calls_per_sec([&] {
-        accel::simulate(design, in.q[0], in.qd[0], in.qdd[0], in.minv[0]);
-    });
     row.engine_cps =
         calls_per_sec([&] { engine.run(ws, packet, out); });
 
@@ -410,9 +324,9 @@ measure_gradient(const accel::AcceleratorDesign &design,
             batches_per_sec * static_cast<double>(kBatchSize);
         point.identical = true;
         for (std::size_t p = 0; p < kBatchSize; ++p)
-            point.identical =
-                point.identical &&
-                gradient_diff(outs[p], reference[p]) == 0.0;
+            point.identical = point.identical &&
+                              gradient_ulp(outs[p], reference[p]) == 0 &&
+                              same_counts(outs[p], reference[p]);
         row.batch.push_back(point);
     }
 
@@ -438,24 +352,6 @@ measure_mass_matrix(const topology::RobotModel &model,
     auto ws = engine.make_workspace();
     accel::EngineResult out;
     const accel::InputPacket packet{&q};
-    engine.run(ws, packet, out);
-    const auto legacy = accel::simulate_mass_matrix(design, q);
-    row.divergence = linalg::max_abs_diff(out.mass, legacy.mass);
-    if (out.tasks_executed != legacy.tasks_executed)
-        row.divergence = std::max(row.divergence, 1.0);
-    {
-        const accel::SimEngine pipelined(design,
-                                         accel::SimOrder::kPipelined);
-        auto pws = pipelined.make_workspace();
-        accel::EngineResult pout;
-        pipelined.run(pws, packet, pout);
-        const auto plegacy = accel::simulate_mass_matrix(
-            design, q, accel::SimOrder::kPipelined);
-        row.divergence_pipelined =
-            linalg::max_abs_diff(pout.mass, plegacy.mass);
-    }
-    row.legacy_cps =
-        calls_per_sec([&] { accel::simulate_mass_matrix(design, q); });
     row.engine_cps =
         calls_per_sec([&] { engine.run(ws, packet, out); });
     return row;
@@ -475,22 +371,6 @@ measure_kinematics(const topology::RobotModel &model,
     auto ws = engine.make_workspace();
     accel::EngineResult out;
     const accel::InputPacket packet{&q, &qd};
-    engine.run(ws, packet, out);
-    const auto legacy =
-        accel::simulate_forward_kinematics(design, q, qd);
-    row.divergence = kinematics_diff(out, legacy);
-    {
-        const accel::SimEngine pipelined(design,
-                                         accel::SimOrder::kPipelined);
-        auto pws = pipelined.make_workspace();
-        accel::EngineResult pout;
-        pipelined.run(pws, packet, pout);
-        const auto plegacy = accel::simulate_forward_kinematics(
-            design, q, qd, accel::SimOrder::kPipelined);
-        row.divergence_pipelined = kinematics_diff(pout, plegacy);
-    }
-    row.legacy_cps = calls_per_sec(
-        [&] { accel::simulate_forward_kinematics(design, q, qd); });
     row.engine_cps =
         calls_per_sec([&] { engine.run(ws, packet, out); });
     return row;
@@ -502,11 +382,7 @@ write_kernel_json(obs::JsonWriter &w, const KernelRow &row)
     w.begin_object();
     w.kv("kernel", row.kernel);
     w.kv("trace_ops", static_cast<std::uint64_t>(row.trace_ops));
-    w.kv("legacy_calls_per_sec", row.legacy_cps);
     w.kv("engine_calls_per_sec", row.engine_cps);
-    w.kv("speedup", row.engine_cps / row.legacy_cps);
-    w.kv("max_divergence", row.divergence);
-    w.kv("max_divergence_pipelined", row.divergence_pipelined);
     if (!row.batch.empty()) {
         w.key("batch").begin_array();
         for (const BatchPoint &point : row.batch) {
@@ -551,7 +427,6 @@ main(int argc, char **argv)
         robots.push_back(id);
 
     bool all_exact = true;
-    double min_gradient_speedup = -1.0;
     // Lane gates: ulp distance must be 0 everywhere; when a vector
     // backend is active the fleet geomean wide-batch speedup must clear
     // the width-aware gate (see kLaneSpeedupGateCap).
@@ -594,16 +469,10 @@ main(int argc, char **argv)
         w.kv("links", static_cast<std::uint64_t>(model.num_links()));
         w.key("kernels").begin_array();
         for (const KernelRow &row : rows) {
-            if (row.divergence != 0.0 || row.divergence_pipelined != 0.0)
-                all_exact = false;
             for (const BatchPoint &point : row.batch)
                 if (!point.identical)
                     all_exact = false;
             if (std::string(row.kernel) == "dynamics_gradient") {
-                const double speedup = row.engine_cps / row.legacy_cps;
-                if (min_gradient_speedup < 0.0 ||
-                    speedup < min_gradient_speedup)
-                    min_gradient_speedup = speedup;
                 if (row.lane.measured) {
                     lane_active = true;
                     if (min_lane_speedup < 0.0 ||
@@ -630,7 +499,6 @@ main(int argc, char **argv)
         w.end_object();
     }
     w.end_array();
-    w.kv("min_gradient_speedup", min_gradient_speedup);
     w.kv("all_exact", all_exact);
     // Lane gates (docs/SIM_ENGINE.md "Exactness policy"): speedup only
     // gates builds/hosts that actually have a vector backend; a

@@ -5,8 +5,9 @@
  * Mirrors the paper's Fig. 7 flow end to end:
  *   1. parse a robot description (Baxter, or a .urdf path given as argv[1]);
  *   2. generate an accelerator for the XCVU9P under an 80% budget;
- *   3. run the generated design's functional simulation on a random state
- *      and check it against the host dynamics library;
+ *   3. run the generated design on the functional simulation engine
+ *      (accel::SimEngine) for a random state and check it against the
+ *      host dynamics library;
  *   4. print the generation report.
  *
  * Build and run:  ./build/examples/quickstart [robot.urdf] [--json report.json]
@@ -19,7 +20,7 @@
 #include <iostream>
 #include <sstream>
 
-#include "accel/functional_sim.h"
+#include "accel/sim_engine.h"
 #include "core/generator.h"
 #include "dynamics/fd_derivatives.h"
 #include "dynamics/robot_state.h"
@@ -70,8 +71,10 @@ main(int argc, char **argv)
     const dynamics::RobotState s = dynamics::random_state(model, 42);
     const auto ref = dynamics::forward_dynamics_gradients(model, topo, s.q,
                                                           s.qd, s.tau);
-    const accel::SimResult sim =
-        accel::simulate(out->design, s.q, s.qd, ref.qdd, ref.mass_inv);
+    const accel::SimEngine engine(out->design);
+    auto ws = engine.make_workspace();
+    accel::EngineResult sim;
+    engine.run(ws, {&s.q, &s.qd, &ref.qdd, &ref.mass_inv}, sim);
     const double err = std::max(
         linalg::max_abs_diff(sim.dqdd_dq, ref.dqdd_dq),
         linalg::max_abs_diff(sim.dqdd_dqd, ref.dqdd_dqd));

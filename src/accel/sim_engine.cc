@@ -2,14 +2,14 @@
  * @file
  * Implementation of the compiled functional simulation engine.
  *
- * The engine must stay exactly equal to the legacy one-shot simulators
- * (functional_sim.cc, kernel_sim.cc), which remain in-tree as the golden
- * reference (see tests/test_sim_engine.cc).  What changes is *when* work
- * happens — order resolution, task lookup, root-path expansion, and hazard
- * checking all move into the constructor, leaving run() as a straight-line
- * sweep over precomputed ops.  The mass-matrix and kinematics sweeps live
- * here; the gradient sweep is the lane kernel (simd_lanes_impl.inl), run
- * at width 1 by run() and at the backend width by run_batch().
+ * Order resolution, task lookup, root-path expansion and hazard checking
+ * all happen in the constructor, leaving run() as a straight-line sweep
+ * over precomputed ops.  The mass-matrix and kinematics sweeps live here;
+ * the gradient sweep is the lane kernel (simd_lanes_impl.inl), run at
+ * width 1 by run() and at the backend width by run_batch().  What the
+ * sweeps compute is pinned bit for bit by tests/test_sim_engine.cc, so an
+ * arithmetic change here must re-derive those digests (docs/SIM_ENGINE.md,
+ * "Exactness policy").
  */
 
 #include "accel/sim_engine.h"
@@ -22,7 +22,6 @@
 #include "core/executor.h"
 #include "obs/registry.h"
 #include "obs/wall_trace.h"
-#include "sched/trace.h"
 
 namespace roboshape {
 namespace accel {
@@ -36,19 +35,33 @@ using topology::kBaseParent;
 
 namespace {
 
-/** Placements of the chosen composition, in execution order. */
+/**
+ * Placements of the chosen composition, in execution order: each schedule's
+ * real placements sorted by start cycle (stable, so placement order breaks
+ * ties).  The staged order sorts the stages separately, because
+ * backward-stage placements restart at cycle 0 yet run strictly after the
+ * forward stage.  The adversarial order runs the staged one backwards.
+ */
 std::vector<const Placement *>
 ordered_placements(const AcceleratorDesign &design, SimOrder order)
 {
     std::vector<const Placement *> out;
+    out.reserve(design.task_graph().size());
+    const auto append = [&out](const sched::Schedule &s) {
+        const auto begin = static_cast<std::ptrdiff_t>(out.size());
+        for (const Placement &p : s.placements)
+            if (p.task != sched::kNoTask)
+                out.push_back(&p);
+        std::stable_sort(out.begin() + begin, out.end(),
+                         [](const Placement *a, const Placement *b) {
+                             return a->start < b->start;
+                         });
+    };
     if (order == SimOrder::kPipelined) {
-        out.reserve(sched::live_placement_count(design.pipelined()));
-        sched::append_in_execution_order(design.pipelined(), out);
+        append(design.pipelined());
     } else {
-        out.reserve(sched::live_placement_count(design.forward_stage()) +
-                    sched::live_placement_count(design.backward_stage()));
-        sched::append_in_execution_order(design.forward_stage(), out);
-        sched::append_in_execution_order(design.backward_stage(), out);
+        append(design.forward_stage());
+        append(design.backward_stage());
     }
     if (order == SimOrder::kAdversarialReversed)
         std::reverse(out.begin(), out.end());
@@ -121,9 +134,9 @@ SimEngine::compile_gradient(const std::vector<const Placement *> &ops)
 {
     const auto &model = design_->model();
     const auto &topo = design_->topology();
-    // Hazard state mirrors the legacy SimState flags.  The checks are
-    // structural (they depend only on the order, never on input values),
-    // so validating the trace once here validates every future run().
+    // Written-flags per operand.  The checks are structural (they depend
+    // only on the order, never on input values), so validating the trace
+    // once here validates every future run().
     std::vector<bool> fwd(n_, false), bwd(n_, false), gf(n_, false);
     std::vector<bool> gb(n_ * n_, false);
 

@@ -1,16 +1,14 @@
 /**
  * @file
- * Compiled, allocation-free, batched functional simulation engine.
+ * Compiled, allocation-free, batched functional simulation engine: the
+ * repository's functional model of a generated accelerator, and its
+ * substitute for RTL simulation of the paper's Verilog.
  *
- * The one-shot simulators (accel/functional_sim.h, accel/kernel_sim.h)
- * re-derive the execution order, re-allocate every workspace vector, and
- * re-check hazards on every call — fine for verifying one schedule, hostile
- * to the paper's real deployment pattern of streaming thousands of input
- * packets through one fixed design (iLQR linearizes horizon x iterations
- * states per solve; the multi-core deployment of Sec. 5.2 feeds replicas
- * from a request stream).
- *
- * SimEngine splits that work the way the hardware does:
+ * The engine executes a design's schedules op by op on real
+ * floating-point data.  It splits the work the way the hardware does, so
+ * one fixed design can stream thousands of input packets (iLQR linearizes
+ * horizon x iterations states per solve; the multi-core deployment of
+ * Sec. 5.2 feeds replicas from a request stream):
  *
  *  - compile() (the constructor) resolves the chosen SimOrder into a flat
  *    trace of fully-resolved ops — task kind, link, parent, derivative
@@ -21,10 +19,11 @@
  *
  *  - run() executes the trace against a persistent Workspace and a
  *    reusable EngineResult.  After one warm-up call, run() performs zero
- *    heap allocations.  Outputs are exactly equal to the legacy one-shot
- *    simulators (which stay in-tree as the golden reference).  Gradient
- *    designs run on the lane kernel of accel/simd_lanes.h at width 1:
- *    the same source that run_batch instantiates at width 4 and 8.
+ *    heap allocations.  Gradient designs run on the lane kernel of
+ *    accel/simd_lanes.h at width 1: the same source that run_batch
+ *    instantiates at width 4 and 8.  What run() computes is pinned by
+ *    tests/test_sim_engine.cc (one digest per golden case) and checked
+ *    against the host dynamics library (docs/SIM_ENGINE.md).
  *
  *  - run_batch() runs independent packets in one region of the
  *    persistent executor (core/executor.h) with one Workspace per lane:
@@ -35,7 +34,9 @@
  *
  * All three Table 1 kernels are covered: the dynamics-gradient pipeline
  * (RNEA + dRNEA + blocked -M^-1 multiply), the CRBA mass matrix, and
- * forward kinematics with Jacobians.
+ * forward kinematics with Jacobians.  Matching the paper's coprocessor
+ * dataflow, the host supplies q, qd, the linearization qdd and M^-1; the
+ * accelerator returns the partial-derivative matrices.
  */
 
 #ifndef ROBOSHAPE_ACCEL_SIM_ENGINE_H
@@ -43,11 +44,13 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "accel/design.h"
-#include "accel/functional_sim.h"
 #include "accel/simd_lanes.h"
+#include "dynamics/rnea.h"
 #include "linalg/blocked.h"
 #include "linalg/matrix.h"
 #include "spatial/spatial_inertia.h"
@@ -56,6 +59,26 @@
 
 namespace roboshape {
 namespace accel {
+
+/** Raised when a scheduled task reads an operand that was never written. */
+class DataHazardError : public std::logic_error
+{
+  public:
+    explicit DataHazardError(const std::string &msg)
+        : std::logic_error(msg)
+    {
+    }
+};
+
+/** Which schedule ordering drives execution. */
+enum class SimOrder
+{
+    kStaged,    ///< Forward stage, then backward stage (no pipelining).
+    kPipelined, ///< Joint cross-stage order.
+    /** Deliberately invalid (stages reversed): exists so tests can prove
+     *  the hazard checker rejects dependency-violating orders. */
+    kAdversarialReversed,
+};
 
 /**
  * One input set for the engine.  Pointers must stay valid for the duration
@@ -187,9 +210,9 @@ class SimEngine
 
     /**
      * Executes one packet.  Zero heap allocations once @p ws and @p out
-     * are warm (one prior run() with them).  Output fields are exactly
-     * equal to the legacy simulate() / simulate_mass_matrix() /
-     * simulate_forward_kinematics() results for the same design and order.
+     * are warm (one prior run() with them).  Only the fields of the
+     * design's kernel are written (docs/SIM_ENGINE.md, "Inputs and
+     * outputs").
      *
      * @throws std::invalid_argument when @p in lacks a field the kernel
      *         reads or a field it reads is not n-sized (n x n for minv),

@@ -17,19 +17,20 @@
  *
  * Exactness policy (the part that makes this safe to deploy):
  *
- *  - The kernel evaluates the legacy simulator's expression trees
- *    (accel::simulate) operation for operation — same multiplies, same
- *    adds, same association order, evaluated per lane by IEEE-754 vector
- *    instructions that round exactly like their scalar counterparts.  Every
- *    kernel TU is compiled with -ffp-contract=off so the compiler cannot
- *    fuse a*b+c into an FMA (which would change rounding).  Under this
- *    policy every width is BIT-IDENTICAL to legacy simulate(), packet for
- *    packet, and the tests/gates assert exactly that (0 ulp).
+ *  - Every width evaluates the same expression trees operation for
+ *    operation — same multiplies, same adds, same association order,
+ *    evaluated per lane by IEEE-754 vector instructions that round exactly
+ *    like their scalar counterparts.  Every kernel TU is compiled with
+ *    -ffp-contract=off so the compiler cannot fuse a*b+c into an FMA
+ *    (which would change rounding).  Under this policy every width is
+ *    BIT-IDENTICAL to the W = 1 kernel behind SimEngine::run, packet for
+ *    packet, and the tests/gates assert exactly that (0 ulp).  What run()
+ *    computes is pinned by the digests of tests/test_sim_engine.cc.
  *
  *  - Any future relaxation (e.g. enabling FMA in the lane kernels) must
  *    raise the documented ulp bound in bench/sim_throughput's lane gate
- *    and docs/SIM_ENGINE.md in the same change.  Legacy simulate() is and
- *    stays the byte-exact reference.
+ *    and docs/SIM_ENGINE.md in the same change, and re-derive the pinned
+ *    digests under a bound against the host dynamics library.
  *
  * Backend selection is a one-time runtime dispatch: AVX-512 (8 lanes) when
  * the CPU has it, else AVX2 (4 lanes), else scalar (the W = 1 kernel).

@@ -5,7 +5,7 @@
  * run_batch.  Compiled in every configuration (including
  * -DROBOSHAPE_SIMD=OFF) with no ISA flags and -ffp-contract=off (see
  * src/accel/CMakeLists.txt), so it runs on any host and rounds exactly
- * like the legacy simulator.
+ * like plain scalar code.
  */
 
 #define ROBOSHAPE_LANE_IMPL_WIDTH 1

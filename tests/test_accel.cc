@@ -2,8 +2,8 @@
  * @file
  * Tests for the accelerator model: resource estimates anchored at the
  * paper's Table 2, design generation, the clock model, and — critically —
- * functional equivalence of the simulated accelerator against the host
- * dynamics library.
+ * functional equivalence of the simulated accelerator (accel::SimEngine)
+ * against the host dynamics library.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +11,9 @@
 #include <random>
 
 #include "accel/design.h"
-#include "accel/functional_sim.h"
 #include "accel/platform.h"
 #include "accel/resource_model.h"
+#include "accel/sim_engine.h"
 #include "dynamics/fd_derivatives.h"
 #include "dynamics/robot_state.h"
 #include "topology/robot_library.h"
@@ -170,6 +170,18 @@ TEST(Design, ClockPeriodGrowsWithRobotScale)
 
 // ------------------------------------------------- functional equivalence ----
 
+/** Runs one packet through a fresh engine of @p design. */
+EngineResult
+run_engine(const AcceleratorDesign &design, const InputPacket &packet,
+           SimOrder order = SimOrder::kStaged)
+{
+    const SimEngine engine(design, order);
+    auto ws = engine.make_workspace();
+    EngineResult out;
+    engine.run(ws, packet, out);
+    return out;
+}
+
 class SimEquivalence
     : public ::testing::TestWithParam<std::tuple<RobotId, std::uint32_t>>
 {
@@ -191,9 +203,8 @@ TEST_P(SimEquivalence, SimulatorMatchesHostReference)
     // linearization qdd, and M^-1.
     const AcceleratorDesign design(model, shipped_params(id));
     for (SimOrder order : {SimOrder::kStaged, SimOrder::kPipelined}) {
-        const SimResult sim = simulate(design, s.q, s.qd, ref.qdd,
-                                       ref.mass_inv,
-                                       dynamics::kDefaultGravity, order);
+        const EngineResult sim = run_engine(
+            design, {&s.q, &s.qd, &ref.qdd, &ref.mass_inv}, order);
         EXPECT_LT(max_abs_diff(sim.dqdd_dq, ref.dqdd_dq), 1e-10)
             << robot_name(id);
         EXPECT_LT(max_abs_diff(sim.dqdd_dqd, ref.dqdd_dqd), 1e-10)
@@ -235,8 +246,8 @@ TEST(Sim, RandomKnobPointsAllComputeCorrectly)
             const AcceleratorParams params{knob(rng), knob(rng),
                                            knob(rng)};
             const AcceleratorDesign design(model, params);
-            const SimResult sim =
-                simulate(design, s.q, s.qd, ref.qdd, ref.mass_inv);
+            const EngineResult sim =
+                run_engine(design, {&s.q, &s.qd, &ref.qdd, &ref.mass_inv});
             ASSERT_LT(max_abs_diff(sim.dqdd_dq, ref.dqdd_dq), 1e-10)
                 << robot_name(id) << " " << params.to_string();
             ASSERT_LT(max_abs_diff(sim.dqdd_dqd, ref.dqdd_dqd), 1e-10)
@@ -255,8 +266,8 @@ TEST(Sim, MinimalAllocationStillComputesCorrectly)
     const auto ref = dynamics::forward_dynamics_gradients(model, topo, s.q,
                                                           s.qd, s.tau);
     const AcceleratorDesign design(model, {1, 1, 1});
-    const SimResult sim =
-        simulate(design, s.q, s.qd, ref.qdd, ref.mass_inv);
+    const EngineResult sim =
+        run_engine(design, {&s.q, &s.qd, &ref.qdd, &ref.mass_inv});
     EXPECT_LT(max_abs_diff(sim.dqdd_dq, ref.dqdd_dq), 1e-10);
     EXPECT_LT(max_abs_diff(sim.dqdd_dqd, ref.dqdd_dqd), 1e-10);
 }
@@ -269,8 +280,8 @@ TEST(Sim, BlockedMultiplySkipsNopTilesOnMultiLimbRobots)
     const auto ref = dynamics::forward_dynamics_gradients(model, topo, s.q,
                                                           s.qd, s.tau);
     const AcceleratorDesign design(model, {3, 3, 3});
-    const SimResult sim =
-        simulate(design, s.q, s.qd, ref.qdd, ref.mass_inv);
+    const EngineResult sim =
+        run_engine(design, {&s.q, &s.qd, &ref.qdd, &ref.mass_inv});
     EXPECT_GT(sim.mm_stats.block_nops, 0u);
 }
 
@@ -285,9 +296,8 @@ TEST(Sim, HazardCheckerRejectsInvalidOrders)
     const auto ref = dynamics::forward_dynamics_gradients(model, topo, s.q,
                                                           s.qd, s.tau);
     const AcceleratorDesign design(model, {3, 3, 3});
-    EXPECT_THROW(simulate(design, s.q, s.qd, ref.qdd, ref.mass_inv,
-                          dynamics::kDefaultGravity,
-                          SimOrder::kAdversarialReversed),
+    EXPECT_THROW(run_engine(design, {&s.q, &s.qd, &ref.qdd, &ref.mass_inv},
+                            SimOrder::kAdversarialReversed),
                  DataHazardError);
 }
 

@@ -8,13 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include "accel/kernel_sim.h"
 #include "accel/power_model.h"
+#include "accel/sim_engine.h"
 #include "core/throughput.h"
 #include "dynamics/crba.h"
 #include "dynamics/fd_derivatives.h"
 #include "dynamics/kinematics.h"
-#include "accel/functional_sim.h"
 #include "dynamics/robot_state.h"
 #include "topology/parametric_robots.h"
 #include "topology/robot_library.h"
@@ -95,6 +94,18 @@ TEST(KernelGraphs, SchedulesAreValidForAllKernels)
 
 // ------------------------------------------------- kernel simulators ----
 
+/** Runs one packet through a fresh engine of @p design. */
+EngineResult
+run_engine(const AcceleratorDesign &design, const InputPacket &packet,
+           SimOrder order = SimOrder::kStaged)
+{
+    const SimEngine engine(design, order);
+    auto ws = engine.make_workspace();
+    EngineResult out;
+    engine.run(ws, packet, out);
+    return out;
+}
+
 class MassMatrixKernel : public ::testing::TestWithParam<RobotId>
 {
 };
@@ -106,8 +117,7 @@ TEST_P(MassMatrixKernel, SimulatorMatchesCrba)
     const AcceleratorDesign design(m, {3, 3, 1}, default_timing(),
                                    KernelKind::kMassMatrix);
     for (SimOrder order : {SimOrder::kStaged, SimOrder::kPipelined}) {
-        const MassMatrixSimResult sim =
-            simulate_mass_matrix(design, s.q, order);
+        const EngineResult sim = run_engine(design, {&s.q}, order);
         EXPECT_LT(linalg::max_abs_diff(sim.mass, dynamics::crba(m, s.q)),
                   1e-10);
         EXPECT_EQ(sim.tasks_executed, design.task_graph().size());
@@ -128,8 +138,7 @@ TEST_P(KinematicsKernel, SimulatorMatchesHostKinematics)
     const RobotState s = random_state(m, 43);
     const AcceleratorDesign design(m, {4, 1, 1}, default_timing(),
                                    KernelKind::kForwardKinematics);
-    const KinematicsSimResult sim =
-        simulate_forward_kinematics(design, s.q, s.qd);
+    const EngineResult sim = run_engine(design, {&s.q, &s.qd});
 
     const auto fk = dynamics::forward_kinematics(m, s.q);
     const auto vel = dynamics::link_velocities(m, s.q, s.qd);
@@ -153,14 +162,13 @@ INSTANTIATE_TEST_SUITE_P(Robots, KinematicsKernel,
 TEST(KernelSim, MassMatrixHazardCheckerRejectsReversedOrder)
 {
     // The CRBA schedule run backwards starts with a force walk whose
-    // composite inertias were never set up — the checker must fire, on the
-    // legacy simulator and at engine compile time alike.
+    // composite inertias were never set up — the checker must fire at
+    // engine compile time.
     const RobotModel m = build_robot(RobotId::kHyq);
     const RobotState s = random_state(m, 5);
     const AcceleratorDesign design(m, {3, 3, 1}, default_timing(),
                                    KernelKind::kMassMatrix);
-    EXPECT_THROW(simulate_mass_matrix(design, s.q,
-                                      SimOrder::kAdversarialReversed),
+    EXPECT_THROW(run_engine(design, {&s.q}, SimOrder::kAdversarialReversed),
                  DataHazardError);
 }
 
@@ -171,19 +179,9 @@ TEST(KernelSim, KinematicsHazardCheckerRejectsReversedOrder)
     const RobotState s = random_state(m, 5);
     const AcceleratorDesign design(m, {4, 1, 1}, default_timing(),
                                    KernelKind::kForwardKinematics);
-    EXPECT_THROW(simulate_forward_kinematics(
-                     design, s.q, s.qd, SimOrder::kAdversarialReversed),
-                 DataHazardError);
-}
-
-TEST(KernelSim, RejectsKernelMismatch)
-{
-    const RobotModel m = build_robot(RobotId::kIiwa);
-    const RobotState s = random_state(m, 1);
-    const AcceleratorDesign gradient(m, {2, 2, 2});
-    EXPECT_THROW(simulate_mass_matrix(gradient, s.q), std::logic_error);
-    EXPECT_THROW(simulate_forward_kinematics(gradient, s.q, s.qd),
-                 std::logic_error);
+    EXPECT_THROW(
+        run_engine(design, {&s.q, &s.qd}, SimOrder::kAdversarialReversed),
+        DataHazardError);
 }
 
 TEST(KernelDesigns, NonGradientKernelsHaveNoMultiplyStage)
@@ -212,7 +210,7 @@ TEST(KernelSim, ParametricRobotsRunThroughEveryKernel)
         // Mass matrix kernel.
         const AcceleratorDesign crba_design(m, {2, 3, 1}, default_timing(),
                                             KernelKind::kMassMatrix);
-        const auto crba_sim = simulate_mass_matrix(crba_design, s.q);
+        const EngineResult crba_sim = run_engine(crba_design, {&s.q});
         EXPECT_LT(linalg::max_abs_diff(crba_sim.mass,
                                        dynamics::crba(m, s.q)),
                   1e-9)
@@ -221,8 +219,8 @@ TEST(KernelSim, ParametricRobotsRunThroughEveryKernel)
         const auto ref = dynamics::forward_dynamics_gradients(
             m, topo, s.q, s.qd, s.tau);
         const AcceleratorDesign grad_design(m, {3, 3, 2});
-        const auto grad_sim =
-            simulate(grad_design, s.q, s.qd, ref.qdd, ref.mass_inv);
+        const EngineResult grad_sim = run_engine(
+            grad_design, {&s.q, &s.qd, &ref.qdd, &ref.mass_inv});
         EXPECT_LT(linalg::max_abs_diff(grad_sim.dqdd_dq, ref.dqdd_dq),
                   1e-9)
             << m.name();

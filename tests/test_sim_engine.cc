@@ -1,12 +1,12 @@
 /**
  * @file
- * Golden-equivalence suite for the compiled simulation engine
- * (accel::SimEngine): across the whole robot library and both functional
- * orders, the engine must be *bit-identical* to the legacy one-shot
- * simulators it replaces, reject the adversarial order with the exact
- * legacy diagnostics (at compile time rather than mid-run), shard batches
- * deterministically at any thread count, and perform zero heap
- * allocations once warm — checked through a counting operator new hook.
+ * Golden suite for the compiled simulation engine (accel::SimEngine):
+ * across the whole robot library, all three kernels and both functional
+ * orders, the engine must reproduce the pinned digest of its outputs bit
+ * for bit, reject the adversarial order at compile time with the pinned
+ * diagnostics, shard batches deterministically at any thread count, and
+ * perform zero heap allocations once warm — checked through a counting
+ * operator new hook.
  */
 
 #include <gtest/gtest.h>
@@ -22,8 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "accel/functional_sim.h"
-#include "accel/kernel_sim.h"
 #include "accel/sim_engine.h"
 #include "dynamics/fd_derivatives.h"
 #include "dynamics/robot_state.h"
@@ -209,28 +207,15 @@ robot_param_name(const ::testing::TestParamInfo<RobotId> &info)
     return name;
 }
 
-/** Exact (bit-level up to zero signs) gradient comparison. */
-void
-expect_gradient_exact(const EngineResult &sim, const SimResult &legacy)
-{
-    EXPECT_EQ(linalg::max_abs_diff(sim.tau, legacy.tau), 0.0);
-    EXPECT_EQ(linalg::max_abs_diff(sim.dtau_dq, legacy.dtau_dq), 0.0);
-    EXPECT_EQ(linalg::max_abs_diff(sim.dtau_dqd, legacy.dtau_dqd), 0.0);
-    EXPECT_EQ(linalg::max_abs_diff(sim.dqdd_dq, legacy.dqdd_dq), 0.0);
-    EXPECT_EQ(linalg::max_abs_diff(sim.dqdd_dqd, legacy.dqdd_dqd), 0.0);
-    EXPECT_EQ(sim.tasks_executed, legacy.tasks_executed);
-    EXPECT_EQ(sim.mm_stats.block_macs, legacy.mm_stats.block_macs);
-    EXPECT_EQ(sim.mm_stats.block_nops, legacy.mm_stats.block_nops);
-    EXPECT_EQ(sim.mm_stats.scalar_macs, legacy.mm_stats.scalar_macs);
-}
-
 // ------------------------------------------------------------- pins ----
-// The golden suite feeds fixed, seeded inputs, so what the simulator must
+// The golden suite feeds fixed, seeded inputs, so what the engine must
 // compute is a constant.  Each case (robot, kernel, knobs, order) is
-// pinned as one FNV-1a digest over every output field the suite checks,
-// and the pins hold for the engine and the one-shot simulators alike.
-// A digest moves only when the arithmetic changes on purpose; there is no
-// switch that rewrites them.
+// pinned as one FNV-1a digest over every output field of its kernel.  The
+// digests were taken where the engine and an independently written
+// one-shot interpreter of the same schedules agreed on every case.  A
+// digest moves only when the arithmetic changes on purpose, and such a
+// change must re-derive them under a bound against the host dynamics
+// library (docs/SIM_ENGINE.md); there is no switch that rewrites them.
 
 /** FNV-1a over the little-endian bytes of 64-bit words, the hash of
  *  UrdfGolden.MutationDigestIsPinned. */
@@ -247,8 +232,9 @@ class Digest
     }
 
     /** -0.0 folds as +0.0: the engine folds the -M^-1 negation into the
-     *  blocked multiply, which may flip the sign of an exact zero, and
-     *  max |diff| == 0 never told the two apart. */
+     *  blocked multiply, which may flip the sign of an exact zero, and the
+     *  pins were taken at max |diff| == 0, which never told the two
+     *  apart. */
     void
     add_value(double v)
     {
@@ -277,9 +263,8 @@ class Digest
 
 /** tau, the four derivative matrices, the mm_stats counts, the task
  *  count. */
-template <typename Result>
 std::string
-gradient_digest(const Result &r)
+gradient_digest(const EngineResult &r)
 {
     Digest d;
     for (const std::vector<double> *values :
@@ -294,9 +279,8 @@ gradient_digest(const Result &r)
 }
 
 /** The mass matrix, then the task count. */
-template <typename Result>
 std::string
-mass_matrix_digest(const Result &r)
+mass_matrix_digest(const EngineResult &r)
 {
     Digest d;
     d.add_values(r.mass.data());
@@ -306,9 +290,8 @@ mass_matrix_digest(const Result &r)
 
 /** Per link: the base-to-link transform as a 6x6 matrix, the velocity and
  *  the Jacobian; then the task count. */
-template <typename Result>
 std::string
-kinematics_digest(const Result &r)
+kinematics_digest(const EngineResult &r)
 {
     Digest d;
     for (std::size_t i = 0; i < r.base_to_link.size(); ++i) {
@@ -466,8 +449,7 @@ class SimEngineGolden : public ::testing::TestWithParam<RobotId>
 {
 };
 
-// Engine output == the pinned digest (and the legacy simulate() output
-// behind it) to the last bit, both orders.
+// Engine output == the pinned digest to the last bit, both orders.
 TEST_P(SimEngineGolden, GradientMatchesLegacyExactly)
 {
     const RobotModel m = build_robot(GetParam());
@@ -489,12 +471,6 @@ TEST_P(SimEngineGolden, GradientMatchesLegacyExactly)
                 << case_name(*pin, order);
             EXPECT_EQ(engine.trace_length(), sim.tasks_executed)
                 << case_name(*pin, order);
-            const SimResult legacy =
-                simulate(design, s.q, s.qd, ref.qdd, ref.mass_inv,
-                         dynamics::kDefaultGravity, order);
-            EXPECT_EQ(gradient_digest(legacy), pin->digest(order))
-                << case_name(*pin, order) << " (legacy)";
-            expect_gradient_exact(sim, legacy);
         }
     }
 }
@@ -516,12 +492,6 @@ TEST_P(SimEngineGolden, MassMatrixMatchesLegacyExactly)
             engine.run(ws, packet, sim);
             EXPECT_EQ(mass_matrix_digest(sim), pin->digest(order))
                 << case_name(*pin, order);
-            const MassMatrixSimResult legacy =
-                simulate_mass_matrix(design, s.q, order);
-            EXPECT_EQ(mass_matrix_digest(legacy), pin->digest(order))
-                << case_name(*pin, order) << " (legacy)";
-            EXPECT_EQ(linalg::max_abs_diff(sim.mass, legacy.mass), 0.0);
-            EXPECT_EQ(sim.tasks_executed, legacy.tasks_executed);
         }
     }
 }
@@ -543,24 +513,6 @@ TEST_P(SimEngineGolden, KinematicsMatchesLegacyExactly)
             engine.run(ws, packet, sim);
             EXPECT_EQ(kinematics_digest(sim), pin->digest(order))
                 << case_name(*pin, order);
-            const KinematicsSimResult legacy =
-                simulate_forward_kinematics(design, s.q, s.qd, order);
-            EXPECT_EQ(kinematics_digest(legacy), pin->digest(order))
-                << case_name(*pin, order) << " (legacy)";
-            ASSERT_EQ(sim.base_to_link.size(), legacy.base_to_link.size());
-            for (std::size_t i = 0; i < m.num_links(); ++i) {
-                EXPECT_EQ((sim.base_to_link[i].to_matrix() -
-                           legacy.base_to_link[i].to_matrix())
-                              .max_abs(),
-                          0.0);
-                EXPECT_EQ(
-                    (sim.velocities[i] - legacy.velocities[i]).max_abs(),
-                    0.0);
-                EXPECT_EQ(linalg::max_abs_diff(sim.jacobians[i],
-                                               legacy.jacobians[i]),
-                          0.0);
-            }
-            EXPECT_EQ(sim.tasks_executed, legacy.tasks_executed);
         }
     }
 }
@@ -571,46 +523,17 @@ INSTANTIATE_TEST_SUITE_P(Robots, SimEngineGolden,
 
 // ------------------------------------------------- hazard rejection ----
 
-// The engine front-loads the hazard checks into compilation: the
-// adversarial order must throw from the constructor, with the exact
-// message the legacy simulators raise mid-run.  The messages are pinned.
+// The engine runs the hazard checks at compilation: the adversarial order
+// must throw from the constructor, with the pinned message of each kernel
+// (the one the one-shot interpreters raised mid-run).
 TEST(SimEngineHazards, AdversarialOrderThrowsAtCompileTime)
 {
     const RobotModel m = build_robot(RobotId::kHyq);
-    const TopologyInfo topo(m);
-    const RobotState s = random_state(m, 3);
-    const auto ref = dynamics::forward_dynamics_gradients(m, topo, s.q,
-                                                          s.qd, s.tau);
-
     const AcceleratorDesign gradient(m, {3, 3, 3});
     const AcceleratorDesign mass(m, {3, 3, 1}, default_timing(),
                                  KernelKind::kMassMatrix);
     const AcceleratorDesign kinematics(m, {4, 1, 1}, default_timing(),
                                        KernelKind::kForwardKinematics);
-
-    // What does the legacy simulator say?
-    auto legacy_message = [&](const AcceleratorDesign &design) {
-        try {
-            switch (design.kernel()) {
-              case KernelKind::kDynamicsGradient:
-                simulate(design, s.q, s.qd, ref.qdd, ref.mass_inv,
-                         dynamics::kDefaultGravity,
-                         SimOrder::kAdversarialReversed);
-                break;
-              case KernelKind::kMassMatrix:
-                simulate_mass_matrix(design, s.q,
-                                     SimOrder::kAdversarialReversed);
-                break;
-              case KernelKind::kForwardKinematics:
-                simulate_forward_kinematics(
-                    design, s.q, s.qd, SimOrder::kAdversarialReversed);
-                break;
-            }
-        } catch (const DataHazardError &e) {
-            return std::string(e.what());
-        }
-        return std::string();
-    };
 
     const std::pair<const AcceleratorDesign *, const char *> cases[] = {
         {&gradient, "data hazard: gradBwd before gradFwd on link 9"},
@@ -618,7 +541,6 @@ TEST(SimEngineHazards, AdversarialOrderThrowsAtCompileTime)
         {&kinematics, "data hazard: jacobian before pose of link 11"},
     };
     for (const auto &[design, expected] : cases) {
-        EXPECT_EQ(legacy_message(*design), expected);
         try {
             const SimEngine engine(*design,
                                    SimOrder::kAdversarialReversed);

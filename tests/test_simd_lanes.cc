@@ -2,12 +2,12 @@
  * @file
  * SIMD batch-lane suite (accel/simd_lanes.h): backend dispatch behaves as
  * documented, and — the exactness policy — every instantiation of the lane
- * kernel (W = 1 through run(), the scalar backend and a lone leftover
- * packet, the AVX2 and AVX-512 groups, padded last groups included)
- * produces results bit-identical to the legacy simulate(), an
- * independently written interpreter, packet for packet, at every batch
- * size (especially ones that are not a multiple of the lane width) and
- * every thread count.
+ * kernel (the scalar backend and a lone leftover packet, the AVX2 and
+ * AVX-512 groups, padded last groups included) produces results
+ * bit-identical to SimEngine::run() at W = 1, the sign of zero included,
+ * packet for packet, at every batch size (especially ones that are not a
+ * multiple of the lane width) and every thread count.  What run() itself
+ * computes is pinned by the digests of tests/test_sim_engine.cc.
  *
  * On a -DROBOSHAPE_SIMD=OFF build (or a non-x86 host without the AVX
  * TUs) the backend list is scalar alone and the exactness loops run over
@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "accel/functional_sim.h"
 #include "accel/sim_engine.h"
 #include "accel/simd_lanes.h"
 #include "dynamics/fd_derivatives.h"
@@ -47,7 +46,7 @@ struct BackendGuard
 };
 
 /** Gradient batch inputs for @p count packets of robot @p id, with the
- *  legacy simulate() result of each packet as the expected output. */
+ *  run() (W = 1) result of each packet as the expected output. */
 struct GradientBatch
 {
     RobotModel m;
@@ -56,7 +55,7 @@ struct GradientBatch
     std::vector<RobotState> states;
     std::vector<dynamics::ForwardDynamicsGradients> refs;
     std::vector<InputPacket> packets;
-    std::vector<SimResult> want;
+    std::vector<EngineResult> want;
 
     GradientBatch(RobotId id, std::size_t count, int seed)
         : m(build_robot(id)), topo(m), design(m, {4, 4, 4})
@@ -69,34 +68,16 @@ struct GradientBatch
             refs.push_back(dynamics::forward_dynamics_gradients(
                 m, topo, s.q, s.qd, s.tau));
         }
-        for (std::size_t i = 0; i < count; ++i) {
+        for (std::size_t i = 0; i < count; ++i)
             packets.push_back({&states[i].q, &states[i].qd, &refs[i].qdd,
                                &refs[i].mass_inv});
-            want.push_back(simulate(design, states[i].q, states[i].qd,
-                                    refs[i].qdd, refs[i].mass_inv));
-        }
+        const SimEngine engine(design);
+        auto ws = engine.make_workspace();
+        want.resize(count);
+        for (std::size_t i = 0; i < count; ++i)
+            engine.run(ws, packets[i], want[i]);
     }
 };
-
-/** 0 ulp on every output (max |diff| == 0 admits only the sign of exact
- *  zeros, which the legacy `* -1.0` and the fused negation may differ in)
- *  and identical operation counts. */
-void
-expect_packet_exact(const EngineResult &got, const SimResult &want,
-                    const std::string &what)
-{
-    EXPECT_EQ(linalg::max_abs_diff(got.tau, want.tau), 0.0) << what;
-    EXPECT_EQ(linalg::max_abs_diff(got.dtau_dq, want.dtau_dq), 0.0) << what;
-    EXPECT_EQ(linalg::max_abs_diff(got.dtau_dqd, want.dtau_dqd), 0.0)
-        << what;
-    EXPECT_EQ(linalg::max_abs_diff(got.dqdd_dq, want.dqdd_dq), 0.0) << what;
-    EXPECT_EQ(linalg::max_abs_diff(got.dqdd_dqd, want.dqdd_dqd), 0.0)
-        << what;
-    EXPECT_EQ(got.tasks_executed, want.tasks_executed) << what;
-    EXPECT_EQ(got.mm_stats.block_macs, want.mm_stats.block_macs) << what;
-    EXPECT_EQ(got.mm_stats.block_nops, want.mm_stats.block_nops) << what;
-    EXPECT_EQ(got.mm_stats.scalar_macs, want.mm_stats.scalar_macs) << what;
-}
 
 /** Same bits, the sign of zero included. */
 bool
@@ -158,14 +139,14 @@ TEST(SimdLaneDispatch, SetBackendByNameAndRejectUnknown)
                  simd::available_lane_backends().back()->name);
 }
 
-// ------------------------------------- lane-vs-legacy bit exactness ----
+// ---------------------------------------- lane-vs-run() bit exactness ----
 
 // The core tail-handling matrix: for every backend available on this
 // build + CPU (scalar included: its packets run through the W = 1 kernel),
 // batch sizes around the lane width W (1, W-1, W, W+1, a prime spanning
-// multiple groups) must produce results identical to legacy simulate()
-// packet-for-packet, at every thread count.  "Identical" is exact
-// equality — the documented lane exactness policy is 0 ulp.
+// multiple groups) must produce results identical to run() packet for
+// packet, at every thread count.  "Identical" is the same bits, the sign
+// of zero included — the documented lane exactness policy is 0 ulp.
 TEST(SimdLaneExactness, TailSizesMatchScalarAtEveryThreadCount)
 {
     BackendGuard guard;
@@ -188,7 +169,7 @@ TEST(SimdLaneExactness, TailSizesMatchScalarAtEveryThreadCount)
                         std::span(fx.packets).first(count), got, batch,
                         threads);
                     for (std::size_t i = 0; i < count; ++i)
-                        expect_packet_exact(
+                        expect_packet_identical(
                             got[i], fx.want[i],
                             std::string(b->name) + " packet " +
                                 std::to_string(i) + "/" +
@@ -220,16 +201,17 @@ TEST(SimdLaneExactness, WorkspaceReuseAcrossSizesStaysExact)
             engine.run_batch(std::span(fx.packets).first(count),
                              std::span(got).first(count), batch, 1);
             for (std::size_t i = 0; i < count; ++i)
-                expect_packet_exact(got[i], fx.want[i],
-                                    std::string(b->name) + " size " +
-                                        std::to_string(count) + " packet " +
-                                        std::to_string(i));
+                expect_packet_identical(got[i], fx.want[i],
+                                        std::string(b->name) + " size " +
+                                            std::to_string(count) +
+                                            " packet " + std::to_string(i));
         }
     }
 }
 
 // Forcing the scalar backend must run even wide batches one packet at a
-// time through the W = 1 kernel, and run() must match legacy on its own.
+// time through the W = 1 kernel, and run() on a second engine of the same
+// design must give the same bits.
 TEST(SimdLaneExactness, ForcedScalarWideBatchMatches)
 {
     BackendGuard guard;
@@ -240,8 +222,8 @@ TEST(SimdLaneExactness, ForcedScalarWideBatchMatches)
     for (std::size_t i = 0; i < fx.packets.size(); ++i) {
         EngineResult got;
         engine.run(ws, fx.packets[i], got);
-        expect_packet_exact(got, fx.want[i],
-                            "run() packet " + std::to_string(i));
+        expect_packet_identical(got, fx.want[i],
+                                "run() packet " + std::to_string(i));
     }
 
     ASSERT_TRUE(simd::set_lane_backend("scalar"));
@@ -249,8 +231,9 @@ TEST(SimdLaneExactness, ForcedScalarWideBatchMatches)
     SimEngine::BatchWorkspace batch;
     engine.run_batch(fx.packets, got, batch, 2);
     for (std::size_t i = 0; i < fx.packets.size(); ++i)
-        expect_packet_exact(got[i], fx.want[i],
-                            "forced-scalar packet " + std::to_string(i));
+        expect_packet_identical(got[i], fx.want[i],
+                                "forced-scalar packet " +
+                                    std::to_string(i));
 }
 
 // Lane-path input validation: a gradient packet missing a field must
@@ -294,10 +277,6 @@ TEST(SimdLanePadding, RaggedBatchesMatchRunBitForBit)
           RobotId::kJaco3, RobotId::kHyqWithArm}) {
         const GradientBatch fx(robot, max_count, 2100);
         const SimEngine engine(fx.design);
-        auto ws = engine.make_workspace();
-        std::vector<EngineResult> want(max_count);
-        for (std::size_t i = 0; i < max_count; ++i)
-            engine.run(ws, fx.packets[i], want[i]);
 
         for (const simd::LaneBackend *b : backends) {
             ASSERT_TRUE(simd::set_lane_backend(b->name));
@@ -319,7 +298,7 @@ TEST(SimdLanePadding, RaggedBatchesMatchRunBitForBit)
                         std::to_string(threads);
                     for (std::size_t i = 0; i < count; ++i)
                         expect_packet_identical(
-                            got[i], want[i],
+                            got[i], fx.want[i],
                             what + " packet " + std::to_string(i));
                     for (std::size_t i = count; i < got.size(); ++i) {
                         EXPECT_EQ(got[i].tasks_executed, 777u)
