@@ -6,6 +6,8 @@
 #include "topology/diagnostics.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <sstream>
 #include <string>
 
@@ -198,6 +200,39 @@ Diagnostic::to_string() const
     return os.str();
 }
 
+namespace {
+
+/**
+ * The `urdf.diag.<code>` counter of @p code.  The name is dynamic, so the
+ * static-caching macro cannot hold it; instead each code's counter is
+ * looked up under the registry mutex on that code's first emission only,
+ * then read from an atomic slot, so concurrent parses in daemon workers
+ * never contend on the registry.  Two threads racing on a first emission
+ * store the same stable address.
+ */
+obs::Counter &
+diag_counter(ParseErrorCode code)
+{
+    constexpr std::size_t kCodes =
+        static_cast<std::size_t>(ParseErrorCode::kUrdfMissingAttribute) + 1;
+    static std::array<std::atomic<obs::Counter *>, kCodes> slots{};
+    const auto index = static_cast<std::size_t>(code);
+    const auto lookup = [code] {
+        return &obs::registry().counter(std::string("urdf.diag.") +
+                                        to_string(code));
+    };
+    if (index >= kCodes)
+        return *lookup();
+    obs::Counter *counter = slots[index].load(std::memory_order_acquire);
+    if (counter == nullptr) {
+        counter = lookup();
+        slots[index].store(counter, std::memory_order_release);
+    }
+    return *counter;
+}
+
+} // namespace
+
 void
 ValidationReport::add(Diagnostic d)
 {
@@ -208,13 +243,9 @@ ValidationReport::add(Diagnostic d)
         ROBOSHAPE_OBS_COUNT("urdf.errors", 1);
     else
         ROBOSHAPE_OBS_COUNT("urdf.warnings", 1);
-    // Per-ParseErrorCode tallies.  The name is dynamic, so this goes
-    // through the registry directly instead of the static-caching macro.
+    // Per-ParseErrorCode tallies.
     if (obs::enabled())
-        obs::registry()
-            .counter(std::string("urdf.diag.") +
-                     topology::to_string(d.code))
-            .add(1);
+        diag_counter(d.code).add(1);
     diagnostics_.push_back(std::move(d));
 }
 

@@ -21,6 +21,7 @@
 #include "dynamics/robot_state.h"
 #include "io/fault_injection.h"
 #include "linalg/matrix.h"
+#include "obs/registry.h"
 #include "obs/wall_trace.h"
 #include "service/cache.h"
 #include "topology/robot_library.h"
@@ -971,6 +972,36 @@ TEST(UrdfChecked, WarnsOnIgnoredElements)
     // <gazebo> and <mystery_payload> are outside the consumed schema;
     // <limit> is a known joint child the pipeline deliberately skips.
     EXPECT_EQ(ignored, 2u) << result.report.to_string();
+}
+
+// Every diagnostic bumps its code's `urdf.diag.<code>` counter by one, and
+// nothing while the registry is switched off.
+TEST(UrdfChecked, DiagnosticsBumpTheirCodeCounters)
+{
+    constexpr std::size_t kIgnored = 7;
+    std::string extras;
+    for (std::size_t i = 0; i < kIgnored; ++i)
+        extras += "<gazebo/>";
+    const std::string text =
+        mini_urdf("", "<axis xyz=\"0 0 2\"/>" + extras);
+    obs::Counter &ignored =
+        obs::registry().counter("urdf.diag.urdf-ignored-element");
+    obs::Counter &axis =
+        obs::registry().counter("urdf.diag.urdf-non-unit-axis");
+
+    for (const bool enabled : {true, false}) {
+        obs::set_enabled(enabled);
+        const std::uint64_t ignored_before = ignored.value();
+        const std::uint64_t axis_before = axis.value();
+        const UrdfParseResult result = parse_urdf_checked(text);
+        obs::set_enabled(true);
+        ASSERT_TRUE(result.ok()) << result.report.to_string();
+        EXPECT_EQ(result.report.diagnostics().size(), kIgnored + 1);
+        EXPECT_EQ(ignored.value() - ignored_before, enabled ? kIgnored : 0)
+            << "obs " << (enabled ? "on" : "off");
+        EXPECT_EQ(axis.value() - axis_before, enabled ? 1u : 0u)
+            << "obs " << (enabled ? "on" : "off");
+    }
 }
 
 TEST(UrdfStress, FiftyThousandIgnoredElementsWarnOnTheirOwnLines)
