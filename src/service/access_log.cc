@@ -33,17 +33,7 @@ void
 AccessLog::write(const RequestRecord &r)
 {
     obs::JsonWriter w;
-    w.begin_object();
-    w.kv("id", r.id);
-    w.kv("endpoint", r.endpoint);
-    w.kv("method", r.method);
-    w.kv("status", static_cast<std::int64_t>(r.status));
-    w.kv("cache", r.cache);
-    w.kv("queue_wait_us", r.queue_wait_us);
-    w.kv("handle_us", r.handle_us);
-    w.kv("bytes", r.bytes);
-    w.kv("slow", r.slow);
-    w.end_object();
+    write_request_json(w, r);
     std::lock_guard<std::mutex> lock(mu_);
     if (!out_.is_open())
         return;

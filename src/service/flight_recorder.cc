@@ -11,6 +11,22 @@ namespace roboshape {
 namespace service {
 
 void
+write_request_json(obs::JsonWriter &w, const RequestRecord &r)
+{
+    w.begin_object();
+    w.kv("id", r.id);
+    w.kv("endpoint", r.endpoint);
+    w.kv("method", r.method);
+    w.kv("status", static_cast<std::int64_t>(r.status));
+    w.kv("cache", r.cache);
+    w.kv("queue_wait_us", r.queue_wait_us);
+    w.kv("handle_us", r.handle_us);
+    w.kv("bytes", r.bytes);
+    w.kv("slow", r.slow);
+    w.end_object();
+}
+
+void
 FlightRecorder::record(const RequestRecord &r) noexcept
 {
     const std::uint64_t ticket =
@@ -74,19 +90,8 @@ FlightRecorder::dump_json() const
     w.kv("capacity", static_cast<std::uint64_t>(kFlightRecorderCapacity));
     w.kv("total", total());
     w.key("requests").begin_array();
-    for (const RequestRecord &r : records) {
-        w.begin_object();
-        w.kv("id", r.id);
-        w.kv("endpoint", r.endpoint);
-        w.kv("method", r.method);
-        w.kv("status", static_cast<std::int64_t>(r.status));
-        w.kv("cache", r.cache);
-        w.kv("queue_wait_us", r.queue_wait_us);
-        w.kv("handle_us", r.handle_us);
-        w.kv("bytes", r.bytes);
-        w.kv("slow", r.slow);
-        w.end_object();
-    }
+    for (const RequestRecord &r : records)
+        write_request_json(w, r);
     w.end_array();
     w.end_object();
     return w.str();

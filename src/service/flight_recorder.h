@@ -24,6 +24,9 @@
 #include <vector>
 
 namespace roboshape {
+namespace obs {
+class JsonWriter;
+}
 namespace service {
 
 /** Requests remembered by the ring (the "last N" of SIGUSR1 dumps). */
@@ -51,6 +54,13 @@ struct RequestRecord
     std::uint64_t bytes = 0;        ///< Response body size.
     bool slow = false;              ///< handle_us >= slow-ms threshold.
 };
+
+/**
+ * Writes @p r as one JSON object with its nine fields in declaration
+ * order: each element of a requests dump and each access-log line
+ * (service/access_log.h).
+ */
+void write_request_json(obs::JsonWriter &w, const RequestRecord &r);
 
 class FlightRecorder
 {
