@@ -555,7 +555,13 @@ pointer_sort_frontier(const DesignSpace &space)
 
 TEST(DesignSpace, ParetoFrontierKeepsThePointerSortPicks)
 {
-    std::vector<std::pair<RobotModel, sched::KernelKind>> cases;
+    struct Case
+    {
+        RobotModel model;
+        sched::KernelKind kernel;
+        accel::TimingModel timing = accel::default_timing();
+    };
+    std::vector<Case> cases;
     for (const auto &ids :
          {topology::all_robots(), topology::extended_robots()})
         for (const RobotId id : ids)
@@ -563,21 +569,34 @@ TEST(DesignSpace, ParetoFrontierKeepsThePointerSortPicks)
                  {sched::KernelKind::kDynamicsGradient,
                   sched::KernelKind::kMassMatrix,
                   sched::KernelKind::kForwardKinematics})
-                cases.emplace_back(build_robot(id), kernel);
+                cases.push_back({build_robot(id), kernel});
     for (std::size_t n = 6; n <= 40; ++n)
-        cases.emplace_back(topology::make_serial_chain(n),
-                           sched::KernelKind::kDynamicsGradient);
+        cases.push_back({topology::make_serial_chain(n),
+                         sched::KernelKind::kDynamicsGradient});
     for (RobotModel m : {topology::make_star(4, 3), topology::make_star(6, 2),
                          topology::make_branching_tree(3, 3),
                          topology::make_branching_tree(4, 2),
                          topology::make_gantry(), topology::make_gantry(6)})
-        cases.emplace_back(std::move(m),
-                           sched::KernelKind::kDynamicsGradient);
+        cases.push_back(
+            {std::move(m), sched::KernelKind::kDynamicsGradient});
+    // Past 32-bit keys: traversal tasks of 2^30 cycles each put every
+    // point of these sweeps at 2^32 cycles or more, so pareto_frontier()
+    // sorts pointers.  A 32-bit check that let these keys through would
+    // wrap them and change the picks.
+    constexpr std::int64_t kWideTask = std::int64_t{1} << 30;
+    accel::TimingModel wide = accel::default_timing();
+    wide.traversal = {kWideTask, kWideTask, kWideTask, kWideTask};
+    for (const RobotId id : {RobotId::kIiwa, RobotId::kHyq})
+        cases.push_back(
+            {build_robot(id), sched::KernelKind::kDynamicsGradient, wide});
 
     std::size_t points = 0;
-    for (const auto &[model, kernel] : cases) {
-        const DesignSpace space =
-            DesignSpace::sweep(model, accel::default_timing(), kernel);
+    for (const auto &[model, kernel, timing] : cases) {
+        const DesignSpace space = DesignSpace::sweep(model, timing, kernel);
+        if (timing == wide) {
+            ASSERT_GE(space.min_cycles(), std::int64_t{1} << 32)
+                << model.name();
+        }
         const std::vector<DesignPoint> got = space.pareto_frontier();
         const std::vector<DesignPoint> want = pointer_sort_frontier(space);
         ASSERT_EQ(got.size(), want.size()) << model.name();
