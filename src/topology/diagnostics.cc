@@ -243,7 +243,6 @@ ValidationReport::add(Diagnostic d)
         ROBOSHAPE_OBS_COUNT("urdf.errors", 1);
     else
         ROBOSHAPE_OBS_COUNT("urdf.warnings", 1);
-    // Per-ParseErrorCode tallies.
     if (obs::enabled())
         diag_counter(d.code).add(1);
     diagnostics_.push_back(std::move(d));
