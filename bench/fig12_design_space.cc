@@ -31,7 +31,7 @@ main(int argc, char **argv)
 
         std::printf("\n%-8s: %4zu points, cycles [%lld..%lld], LUTs "
                     "[%lldk..%lldk], frontier %zu pts\n",
-                    topology::robot_name(id), space.points().size(),
+                    topology::robot_name(id), space.size(),
                     static_cast<long long>(space.min_cycles()),
                     static_cast<long long>(space.max_cycles()),
                     static_cast<long long>(space.min_luts() / 1000),
@@ -47,7 +47,7 @@ main(int argc, char **argv)
         }
         std::printf("\n");
         const std::string key = topology::robot_name(id);
-        report.metric(key + ".points", space.points().size());
+        report.metric(key + ".points", space.size());
         report.metric(key + ".min_cycles",
                       static_cast<std::int64_t>(space.min_cycles()));
         report.metric(key + ".max_cycles",

@@ -120,7 +120,7 @@ measure(const roboshape::topology::RobotModel &model, bool run_serial)
     row.memoized_ms = elapsed_ms(t0);
     row.memoized_list_calls = list_runs.value() - list0;
     row.memoized_block_calls = block_runs.value() - block0;
-    row.points = space.points().size();
+    row.points = space.size();
 
     if (run_serial) {
         const std::uint64_t list1 = list_runs.value();

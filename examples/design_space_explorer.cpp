@@ -52,7 +52,7 @@ main(int argc, char **argv)
     const core::DesignSpace space = core::DesignSpace::sweep(model);
     std::printf("%zu design points; cycles in [%lld, %lld]; LUTs in "
                 "[%lld, %lld]\n\n",
-                space.points().size(),
+                space.size(),
                 static_cast<long long>(space.min_cycles()),
                 static_cast<long long>(space.max_cycles()),
                 static_cast<long long>(space.min_luts()),

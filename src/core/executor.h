@@ -37,7 +37,7 @@
  * Regions: every region is a chunked `parallel_for` over an index range;
  * there is no dependency-graph submission.  Dependent phases are separate
  * regions or run serially on the caller: `DesignSpace::sweep` fills its
- * schedule caches in one region and composes the points on the calling
+ * schedule caches in one region and reads their makespans on the calling
  * thread.
  *
  * Worker count: `ROBOSHAPE_THREADS` (validated; garbage values warn once

@@ -45,8 +45,8 @@ namespace core {
 /**
  * Memoization effectiveness of one SweepContext, split by cache.  A "hit"
  * is an accessor call that found its slot already filled; a "miss" ran the
- * scheduler.  A cold n^3-point DesignSpace sweep makes O(n) misses and then
- * reads each cached schedule once (O(n) hits); later designs, strategy
+ * scheduler.  A cold DesignSpace sweep makes O(n) misses and then reads
+ * each cached schedule once (O(n) hits); later designs, strategy
  * evaluations and cycles_no_pipelining calls add hits (see memo_stats()).
  */
 struct SweepMemoStats

@@ -364,7 +364,7 @@ cmd_sweep(const topology::RobotModel &model, const CliOptions &opt)
 {
     const core::DesignSpace space =
         core::DesignSpace::sweep(model, accel::default_timing(), opt.kernel);
-    std::printf("# %zu design points for %s (%s)\n", space.points().size(),
+    std::printf("# %zu design points for %s (%s)\n", space.size(),
                 model.name().c_str(), to_string(opt.kernel));
     std::printf("pes_fwd,pes_bwd,block,cycles,latency_us,luts,dsps,"
                 "fits_%s\n",
