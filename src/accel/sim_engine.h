@@ -42,6 +42,7 @@
 #ifndef ROBOSHAPE_ACCEL_SIM_ENGINE_H
 #define ROBOSHAPE_ACCEL_SIM_ENGINE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -51,7 +52,6 @@
 #include "accel/design.h"
 #include "accel/simd_lanes.h"
 #include "dynamics/rnea.h"
-#include "linalg/blocked.h"
 #include "linalg/matrix.h"
 #include "spatial/spatial_inertia.h"
 #include "spatial/spatial_transform.h"
@@ -95,6 +95,14 @@ struct InputPacket
     spatial::Vec3 gravity = dynamics::kDefaultGravity;
 };
 
+/** Tile counts of the gradient kernel's two blocked multiplies. */
+struct BlockMultiplyStats
+{
+    std::size_t block_macs = 0;  ///< Tile products executed.
+    std::size_t block_nops = 0;  ///< Tile products skipped as zero.
+    std::size_t scalar_macs = 0; ///< Scalar MACs inside executed tiles.
+};
+
 /**
  * Reusable output block.  The engine sizes every field on first use and
  * only overwrites afterwards; keep the object alive across runs for the
@@ -107,7 +115,7 @@ struct EngineResult
     linalg::Vector tau;
     linalg::Matrix dtau_dq, dtau_dqd;
     linalg::Matrix dqdd_dq, dqdd_dqd;
-    linalg::BlockMultiplyStats mm_stats;
+    BlockMultiplyStats mm_stats;
     // kMassMatrix
     linalg::Matrix mass;
     // kForwardKinematics

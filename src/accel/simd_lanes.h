@@ -111,7 +111,7 @@ class AlignedBuffer
     std::size_t capacity_ = 0;
 };
 
-/** Per-lane blocked-multiply operation counts (mirrors BlockMultiplyStats). */
+/** Per-lane blocked-multiply tile counts (the fields of BlockMultiplyStats). */
 struct LaneStats
 {
     std::array<std::uint64_t, kMaxLaneWidth> block_macs{};

@@ -6,8 +6,9 @@
  * mass matrix and the N x N partial-derivative matrices, with N = total robot
  * links, typically 7-19).  The paper explicitly notes that heavyweight sparse
  * encodings (CSR etc.) are unsuitable at these sizes, so the library is built
- * on a plain dense row-major representation with explicit block-sparsity
- * helpers layered on top (see blocked.h).
+ * on a plain dense row-major representation.  Block sparsity is exploited
+ * where it pays: the blocked-multiply scheduler (sched/block_schedule.h)
+ * and the simulator's lane kernel (accel/simd_lanes_impl.inl).
  */
 
 #ifndef ROBOSHAPE_LINALG_MATRIX_H

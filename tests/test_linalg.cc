@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "linalg/blocked.h"
 #include "linalg/factorization.h"
 #include "linalg/matrix.h"
 #include "linalg/random.h"
@@ -454,95 +453,6 @@ TEST(BlockDiagonalInverse, MatchesDenseInverse)
     const Matrix bi = block_diagonal_inverse(a, spans);
     const Matrix di = spd_inverse(a);
     EXPECT_LT(max_abs_diff(bi, di), 1e-9);
-}
-
-TEST(BlockPattern, HandcraftedMask)
-{
-    // 5x5 matrix with a dense 2x2 top-left corner and one entry at (4, 4).
-    Matrix m(5, 5);
-    m(0, 0) = m(0, 1) = m(1, 0) = m(1, 1) = 1.0;
-    m(4, 4) = 2.0;
-    BlockPattern p(m, 2);
-    EXPECT_EQ(p.block_rows(), 3u);
-    EXPECT_EQ(p.block_cols(), 3u);
-    EXPECT_TRUE(p.nonzero(0, 0));
-    EXPECT_FALSE(p.nonzero(0, 1));
-    EXPECT_TRUE(p.nonzero(2, 2));
-    EXPECT_EQ(p.nonzero_blocks(), 2u);
-    EXPECT_EQ(p.zero_blocks(), 7u);
-    // Tile (2,2) covers only element (4,4) of the matrix; 3 of its 4 slots
-    // are padding.
-    EXPECT_EQ(p.padded_zero_elements(), 3u);
-}
-
-TEST(BlockPattern, BlockSizeOneHasNoPadding)
-{
-    const Matrix m = random_matrix(7, 7, 77);
-    BlockPattern p(m, 1);
-    EXPECT_EQ(p.nonzero_blocks(), 49u);
-    EXPECT_EQ(p.padded_zero_elements(), 0u);
-}
-
-TEST(BlockPattern, AsciiRendering)
-{
-    Matrix m(2, 2);
-    m(0, 0) = 1.0;
-    BlockPattern p(m, 1);
-    EXPECT_EQ(p.to_ascii(), "X.\n..\n");
-}
-
-/** Blocked multiply must equal dense multiply for any block size. */
-class BlockedMultiplyEquivalence
-    : public ::testing::TestWithParam<std::tuple<int, int>>
-{
-};
-
-TEST_P(BlockedMultiplyEquivalence, MatchesDenseProduct)
-{
-    const int n = std::get<0>(GetParam());
-    const int block = std::get<1>(GetParam());
-    // Build a limb-sparse matrix: zero out a corner block to mimic mass-
-    // matrix structure.
-    Matrix a = random_matrix(n, n, 100 + n);
-    for (int i = n / 2; i < n; ++i)
-        for (int j = 0; j < n / 2; ++j)
-            a(i, j) = a(j, i) = 0.0;
-    const Matrix b = random_matrix(n, n, 200 + n);
-
-    BlockMultiplyStats stats;
-    const Matrix blocked = blocked_multiply(a, b, block, &stats);
-    const Matrix dense = a * b;
-    EXPECT_LT(max_abs_diff(blocked, dense), 1e-10)
-        << "n=" << n << " block=" << block;
-    EXPECT_GT(stats.block_macs, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SizesAndBlocks, BlockedMultiplyEquivalence,
-    ::testing::Combine(::testing::Values(5, 7, 12, 15, 19),
-                       ::testing::Values(1, 2, 3, 4, 5, 6, 7, 10)));
-
-TEST(BlockedMultiply, SkipsZeroBlocks)
-{
-    // Block-diagonal matrix: off-diagonal tile products must be NOPs.
-    Matrix a(6, 6);
-    a.set_block(0, 0, random_matrix(3, 3, 1));
-    a.set_block(3, 3, random_matrix(3, 3, 2));
-    const Matrix b = random_matrix(6, 6, 3);
-    BlockMultiplyStats stats;
-    blocked_multiply(a, b, 3, &stats);
-    // A has 2 nonzero tiles of 4; B dense (4 tiles). Products: 2x2x2 = 8
-    // total tile triples, of which a zero A-tile kills 4.
-    EXPECT_EQ(stats.block_nops, 4u);
-    EXPECT_EQ(stats.block_macs, 4u);
-}
-
-TEST(BlockedMultiply, RectangularOperands)
-{
-    const Matrix a = random_matrix(7, 12, 5);
-    const Matrix b = random_matrix(12, 4, 6);
-    const Matrix blocked = blocked_multiply(a, b, 5);
-    EXPECT_LT(max_abs_diff(blocked, a * b), 1e-10);
 }
 
 TEST(RandomHelpers, Deterministic)

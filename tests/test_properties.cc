@@ -19,7 +19,6 @@
 #include "dynamics/robot_state.h"
 #include "io/link_model.h"
 #include "io/payload.h"
-#include "linalg/blocked.h"
 #include "linalg/factorization.h"
 #include "linalg/random.h"
 #include "sched/task_graph.h"
@@ -51,23 +50,6 @@ TEST(LinalgProperties, LdltSolvesEveryRobotMassMatrix)
             const Vector x = f.solve(s.tau);
             EXPECT_LT(linalg::max_abs_diff(h * x, s.tau), 1e-8);
         }
-    }
-}
-
-TEST(LinalgProperties, BlockedMultiplyStatsAreConsistent)
-{
-    // block_macs + block_nops covers the full tile cube, and scalar MACs
-    // never exceed macs * block^3.
-    const Matrix a = linalg::random_matrix(13, 13, 5);
-    const Matrix b = linalg::random_matrix(13, 13, 6);
-    for (std::size_t block : {2u, 3u, 5u, 7u}) {
-        linalg::BlockMultiplyStats stats;
-        linalg::blocked_multiply(a, b, block, &stats);
-        const std::size_t dim = (13 + block - 1) / block;
-        EXPECT_EQ(stats.total_block_products(), dim * dim * dim) << block;
-        EXPECT_LE(stats.scalar_macs, stats.block_macs * block * block *
-                                         block)
-            << block;
     }
 }
 
