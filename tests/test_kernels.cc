@@ -14,6 +14,8 @@
 #include "dynamics/crba.h"
 #include "dynamics/fd_derivatives.h"
 #include "dynamics/kinematics.h"
+#include "dynamics/rnea.h"
+#include "dynamics/rnea_derivatives.h"
 #include "dynamics/robot_state.h"
 #include "topology/parametric_robots.h"
 #include "topology/robot_library.h"
@@ -201,7 +203,8 @@ TEST(KernelDesigns, NonGradientKernelsHaveNoMultiplyStage)
 TEST(KernelSim, ParametricRobotsRunThroughEveryKernel)
 {
     // Sim equivalence for a prismatic gantry, a star, and a tree — the
-    // robots outside the paper's six.
+    // robots outside the paper's six — on all three kernels, against the
+    // host library.
     for (const RobotModel &m :
          {topology::make_gantry(3), topology::make_star(5, 4),
           topology::make_branching_tree(3, 2)}) {
@@ -215,13 +218,50 @@ TEST(KernelSim, ParametricRobotsRunThroughEveryKernel)
                                        dynamics::crba(m, s.q)),
                   1e-9)
             << m.name();
-        // Gradient kernel.
+        // Forward-kinematics kernel.
+        const AcceleratorDesign fk_design(m, {4, 1, 1}, default_timing(),
+                                          KernelKind::kForwardKinematics);
+        const EngineResult fk_sim = run_engine(fk_design, {&s.q, &s.qd});
+        const auto fk = dynamics::forward_kinematics(m, s.q);
+        const auto vel = dynamics::link_velocities(m, s.q, s.qd);
+        for (std::size_t i = 0; i < m.num_links(); ++i) {
+            EXPECT_LT((fk_sim.base_to_link[i].to_matrix() -
+                       fk.base_to_link[i].to_matrix())
+                          .max_abs(),
+                      1e-9)
+                << m.name() << " link " << i;
+            EXPECT_LT((fk_sim.velocities[i] - vel[i]).max_abs(), 1e-9)
+                << m.name() << " link " << i;
+            EXPECT_LT(linalg::max_abs_diff(
+                          fk_sim.jacobians[i],
+                          dynamics::link_jacobian(m, s.q, i)),
+                      1e-9)
+                << m.name() << " link " << i;
+        }
+        // Gradient kernel: the RNEA torques, their derivatives, and the
+        // forward-dynamics gradients.
         const auto ref = dynamics::forward_dynamics_gradients(
             m, topo, s.q, s.qd, s.tau);
+        dynamics::RneaCache cache;
+        const linalg::Vector tau = dynamics::rnea(
+            m, s.q, s.qd, ref.qdd, dynamics::kDefaultGravity, &cache);
+        const dynamics::RneaDerivatives dtau =
+            dynamics::rnea_derivatives(m, topo, s.qd, cache);
         const AcceleratorDesign grad_design(m, {3, 3, 2});
         const EngineResult grad_sim = run_engine(
             grad_design, {&s.q, &s.qd, &ref.qdd, &ref.mass_inv});
+        EXPECT_LT(linalg::max_abs_diff(grad_sim.tau, tau), 1e-9)
+            << m.name();
+        EXPECT_LT(linalg::max_abs_diff(grad_sim.dtau_dq, dtau.dtau_dq),
+                  1e-9)
+            << m.name();
+        EXPECT_LT(linalg::max_abs_diff(grad_sim.dtau_dqd, dtau.dtau_dqd),
+                  1e-9)
+            << m.name();
         EXPECT_LT(linalg::max_abs_diff(grad_sim.dqdd_dq, ref.dqdd_dq),
+                  1e-9)
+            << m.name();
+        EXPECT_LT(linalg::max_abs_diff(grad_sim.dqdd_dqd, ref.dqdd_dqd),
                   1e-9)
             << m.name();
     }
